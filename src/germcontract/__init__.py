@@ -37,12 +37,12 @@ from .dualgraph import (
 from .errors import InvariantViolationError, PreconditionError, SeriesParseError
 from .keyforms import (
     EssentialKeyForms,
-    LiftedPoly,
     all_key_forms,
     essential_key_forms,
     is_polynomial,
     omega_decompose,
 )
+from .poly import Poly
 from .puiseux import (
     CharacteristicData,
     Orientation,
@@ -55,9 +55,6 @@ from .puiseux import (
 )
 from .semidegree import (
     GenericDPS,
-    LaurentPolyXY,
-    XiPoly,
-    XiSeries,
     generic_dps_from_curve,
     parse_poly,
     semidegree_eval,
@@ -73,9 +70,8 @@ __all__ = [
     "EssentialKeyForms",
     "GenericDPS",
     "InvariantViolationError",
-    "LaurentPolyXY",
-    "LiftedPoly",
     "Orientation",
+    "Poly",
     "PreconditionError",
     "PuiseuxPoly",
     "S2Entry",
@@ -83,8 +79,6 @@ __all__ = [
     "SeriesParseError",
     "VirtualPoles",
     "WitnessCurve",
-    "XiPoly",
-    "XiSeries",
     "all_key_forms",
     "alpha_invariant",
     "build_dual_graph",

@@ -25,30 +25,12 @@ from .puiseux import (
     CharacteristicData,
     Orientation,
     PuiseuxPoly,
+    local_pair_data,
     local_to_degreewise,
     puiseux_pairs,
 )
-from .semidegree import LaurentPolyXY, generic_dps_from_curve
-
-
-def _as_chardata(local_pairs) -> CharacteristicData:
-    if isinstance(local_pairs, CharacteristicData):
-        return local_pairs
-    return CharacteristicData.from_pairs(local_pairs)
-
-
-def _check_local(data: CharacteristicData) -> CharacteristicData:
-    """Local-side sanity: positive q_k and strictly increasing exponents
-    q_k/(p_1..p_k)."""
-    exps = data.char_exponents()
-    for k, ((q, _), e) in enumerate(zip(data.pairs, exps)):
-        if q < 1:
-            raise PreconditionError(f"local pair with q = {q}: q must be >= 1")
-        if k and e <= exps[k - 1]:
-            raise PreconditionError(
-                f"characteristic exponents must increase: {exps[k - 1]} then {e}"
-            )
-    return data
+from .poly import Poly
+from .semidegree import generic_dps_from_curve
 
 
 def _check_r(r) -> int:
@@ -61,7 +43,7 @@ def alpha_invariant(local_pairs, r: int) -> int:
     """Intersection multiplicity of the germ with a generic curve through
     the r-th extra infinitely near point; for a single pair (q, p) this is
     p*q + r."""
-    data = _check_local(_as_chardata(local_pairs))
+    data = local_pair_data(local_pairs)
     _check_r(r)
     if not data.pairs:
         raise PreconditionError("need at least one characteristic pair")
@@ -73,7 +55,10 @@ def alpha_invariant(local_pairs, r: int) -> int:
         total += (p_k - 1) * tail * exps[k]
         tail *= p_k
     alpha = data.polydromy * total + data.pairs[-1][0] + r
-    assert alpha.denominator == 1
+    if alpha.denominator != 1:
+        raise InvariantViolationError(
+            "alpha is not an integer", alpha=alpha, pairs=data.pairs, r=r
+        )
     return int(alpha)
 
 
@@ -81,7 +66,7 @@ def is_contractible(local_pairs, r: int) -> bool:
     """True iff the exceptional configuration of (pairs, r) contracts
     analytically: the germ has order < 1 (first pair has q < p) and
     alpha < p^2."""
-    data = _check_local(_as_chardata(local_pairs))
+    data = local_pair_data(local_pairs)
     _check_r(r)
     if not data.pairs:
         raise PreconditionError("need at least one characteristic pair")
@@ -104,7 +89,10 @@ def _tilde_omegas(data: CharacteristicData) -> tuple[int, ...]:
             total += (p_j - 1) * tail * exps[j - 1]
             tail *= p_j
         val = data.polydromy * total
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise InvariantViolationError(
+                "semigroup generator is not an integer", k=k, value=val, pairs=data.pairs
+            )
         out.append(int(val))
     return tuple(out)
 
@@ -141,7 +129,7 @@ def virtual_poles(local_pairs, r: int) -> VirtualPoles:
     with the generic pole appended, coincide with the pole orders of the
     essential key forms of any curve having these pairs.
     """
-    data = _check_local(_as_chardata(local_pairs))
+    data = local_pair_data(local_pairs)
     _check_r(r)
     if not data.pairs:
         raise PreconditionError("need at least one characteristic pair")
@@ -150,7 +138,10 @@ def virtual_poles(local_pairs, r: int) -> VirtualPoles:
     p = data.polydromy
     alpha = alpha_invariant(data, r)
     tilde = _tilde_omegas(data)
-    assert alpha == ps[-1] * tilde[-1] + r
+    if alpha != ps[-1] * tilde[-1] + r:
+        raise InvariantViolationError(
+            "alpha differs from p_lt * w~_lt + r", alpha=alpha, tilde_omegas=tilde, r=r
+        )
     l = lt - 1 if r == 0 else lt
     omegas = [p]
     head = 1  # p_1^2 .. p_{k-1}^2
@@ -163,7 +154,11 @@ def virtual_poles(local_pairs, r: int) -> VirtualPoles:
         generic = p * p - alpha
     else:
         generic = head * tail - tilde[lt]
-        assert generic * ps[-1] == p * p - alpha
+        if generic * ps[-1] != p * p - alpha:
+            raise InvariantViolationError(
+                "generic pole at r = 0 differs from (p^2 - alpha)/p_lt",
+                generic_pole=generic, p=p, alpha=alpha, pairs=data.pairs,
+            )
     return VirtualPoles(tilde, tuple(omegas), generic, l, alpha, p)
 
 
@@ -226,11 +221,15 @@ def semigroup_conditions(local_pairs, r: int) -> SemigroupReport:
     but some S2 fails -> both kinds occur; some S1 fails -> no contraction
     is algebraic.  Non-contractible input short-circuits.
     """
-    data = _check_local(_as_chardata(local_pairs))
+    data = local_pair_data(local_pairs)
     vp = virtual_poles(data, r)
     if not is_contractible(data, r):
         return SemigroupReport((), (), Classification.NOT_CONTRACTIBLE, vp)
-    assert vp.generic_pole > 0
+    if vp.generic_pole <= 0:
+        raise InvariantViolationError(
+            "non-positive generic pole on contractible input",
+            generic_pole=vp.generic_pole, pairs=data.pairs, r=r,
+        )
     for w in vp.omegas:
         if w <= 0:
             raise InvariantViolationError(
@@ -288,7 +287,7 @@ def witness_curves(local_pairs, r: int, classification=None) -> tuple[WitnessCur
     classification, when given (either the enum value or a full
     SemigroupReport), must agree with what (pairs, r) actually computes.
     """
-    data = _check_local(_as_chardata(local_pairs))
+    data = local_pair_data(local_pairs)
     report = None
     if isinstance(classification, SemigroupReport):
         report = classification
@@ -304,7 +303,10 @@ def witness_curves(local_pairs, r: int, classification=None) -> tuple[WitnessCur
         return ()
     exps = data.char_exponents()
     base = PuiseuxPoly(Orientation.LOCAL, {e: Fraction(1) for e in exps})
-    assert puiseux_pairs(base).pairs == data.pairs
+    if puiseux_pairs(base).pairs != data.pairs:
+        raise InvariantViolationError(
+            "all-ones series has other pairs", series=str(base), pairs=data.pairs
+        )
     out = [WitnessCurve(base, all(report.s1))]
     if report.classification is Classification.BOTH:
         entry = next(e for e in report.s2 if not e.holds)
@@ -337,7 +339,7 @@ class AlgebraicityReport:
     contractible: bool
     algebraic: bool | None
     key_forms: EssentialKeyForms | None
-    witness_curve: LaurentPolyXY | None
+    witness_curve: Poly | None
     wp_weights: tuple[int, ...] | None
 
 
@@ -369,17 +371,20 @@ def is_algebraic(curve: PuiseuxPoly, r: int, force_keyforms: bool = False) -> Al
         return AlgebraicityReport(False, None, keys, None, None)
     last = keys.last()
     algebraic = is_polynomial(last)
-    # the last form decides for the whole chain
-    assert algebraic == all(is_polynomial(f) for f in keys.forms)
+    if algebraic != all(is_polynomial(f) for f in keys.forms):
+        raise InvariantViolationError(
+            "the last key form does not decide for the whole chain",
+            forms=[f.format() for f in keys.forms], r=r,
+        )
     if not algebraic:
         return AlgebraicityReport(True, False, keys, None, None)
     return AlgebraicityReport(True, True, keys, last, (1,) + keys.omegas)
 
 
-def single_pair_test(f: LaurentPolyXY, p: int, q_tilde: int, r: int) -> bool:
+def single_pair_test(f: Poly, p: int, q_tilde: int, r: int) -> bool:
     """Shortcut for germs with a single pair (q_tilde, p), defined by a
     Weierstrass polynomial f(u, v), monic of degree p in v (stored as a
-    LaurentPolyXY with x playing u and y playing v).
+    Poly in x, y with x playing u and y playing v).
 
     Weigh each monomial u^a v^b by a*p + b*q_tilde, drop everything of
     weight >= p*q_tilde + r; the contraction is algebraic iff what is left
@@ -388,10 +393,9 @@ def single_pair_test(f: LaurentPolyXY, p: int, q_tilde: int, r: int) -> bool:
     _check_r(r)
     if p < 2 or q_tilde < 1 or gcd(p, q_tilde) != 1:
         raise PreconditionError("need p >= 2 and q_tilde >= 1 coprime")
-    if f.deg_y() != p or not f.is_monic_in_y():
+    if f.is_zero() or f.leading(1) != Poly.monomial(f.names, (0, p)):
         raise PreconditionError(f"f must be monic of degree {p} in v")
-    m = f.min_x_exponent()
-    if m is None or m < 0:
+    if f.ord() < 0:
         raise PreconditionError("f must be a nonzero polynomial in u, v")
     alpha = p * q_tilde + r
     best = None

@@ -1,19 +1,23 @@
 """Weighted dual graphs of the exceptional configurations.
 
-The graph is computed by simulating the blow-up sequence on an exact
-parametrization of the germ: the curve with coefficient 1 on every
-characteristic exponent is followed through charts as a pair of rational
-functions (a(t), b(t)) in an auxiliary parameter t.  Each blow-up centers
-at the point the branch currently sits on, updates the two tracked axis
-curves, decrements the self-intersection of every curve through the
-center and connects the new exceptional curve to them.  The simulation
-stops once the branch meets a single exceptional curve transversally
-(minimal embedded resolution of curve plus tangent line), continues with
-r further blow-ups at the moving intersection point, removes the last
-exceptional curve E* and reports what remains.
+By Enriques' theorem the resolution graph of a branch depends only on the
+Euclid expansions of its characteristic exponents, so the graph is built
+from two vanishing orders alone.  Along the branch the two chart
+coordinates a and b vanish to orders (oa, ob), starting at (p, beta_1) with
+beta_k = q_k * p / (p_1..p_k).  A blow-up at the point the branch sits on
+subtracts the smaller order from the larger (a Euclid step); when they are
+equal the branch leaves the current exceptional curve at a free point and
+ob becomes the next difference beta_(k+1) - beta_k, or infinite after the
+last pair.  Each blow-up updates the two tracked axis curves, decrements
+the self-intersection of every curve through the center and connects the
+new exceptional curve to them.  The construction stops once the branch
+meets a single exceptional curve transversally (minimal embedded
+resolution of curve plus tangent line), continues with r further blow-ups
+at the moving intersection point, removes the last exceptional curve E*
+and reports what remains.
 
-Equisingular germs share their resolution combinatorics, so the
-all-ones representative computes the graph for the whole class.
+The test suite compares this against a simulation of the blow-ups on an
+exact parametrization of the germ (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -23,76 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolationError, PreconditionError
-from .puiseux import CharacteristicData
-
-
-# --- exact rational functions in t ----------------------------------------
-
-
-def _pmul(f: dict, g: dict) -> dict:
-    out: dict[int, Fraction] = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = e1 + e2
-            c = out.get(e, Fraction(0)) + c1 * c2
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _psub(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for e, c in g.items():
-        v = out.get(e, Fraction(0)) - c
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _pscale(f: dict, c: Fraction) -> dict:
-    return {e: c * v for e, v in f.items()} if c else {}
-
-
-class _RatF:
-    """num/den pair of polynomials in t (dict exponent -> Fraction), exact;
-    common powers of t are stripped on construction."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: dict, den: dict):
-        num = {e: c for e, c in num.items() if c}
-        den = {e: c for e, c in den.items() if c}
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            s = min(min(num), min(den))
-            if s:
-                num = {e - s: c for e, c in num.items()}
-                den = {e - s: c for e, c in den.items()}
-        self.num = num
-        self.den = den
-
-    def ord(self) -> int | None:
-        """Vanishing order at t = 0; None for the zero function."""
-        if not self.num:
-            return None
-        return min(self.num) - min(self.den)
-
-    def lead(self) -> Fraction:
-        return self.num[min(self.num)] / self.den[min(self.den)]
-
-    def __truediv__(self, other: "_RatF") -> "_RatF":
-        return _RatF(_pmul(self.num, other.den), _pmul(self.den, other.num))
-
-    def sub_const(self, c: Fraction) -> "_RatF":
-        return _RatF(_psub(self.num, _pscale(self.den, c)), self.den)
-
-
-# --- the graph ------------------------------------------------------------
+from .puiseux import local_pair_data
 
 
 @dataclass(frozen=True)
@@ -137,11 +72,7 @@ def build_dual_graph(local_pairs, r: int) -> DualGraph:
     """Resolve the germ of (pairs) tangent to a line, blow up r more times
     along the strict transform, drop the last exceptional curve and return
     the weighted dual graph of the rest."""
-    data = (
-        local_pairs
-        if isinstance(local_pairs, CharacteristicData)
-        else CharacteristicData.from_pairs(local_pairs)
-    )
+    data = local_pair_data(local_pairs)
     if not data.pairs:
         raise PreconditionError("need at least one characteristic pair")
     if not isinstance(r, int) or r < 0:
@@ -153,12 +84,9 @@ def build_dual_graph(local_pairs, r: int) -> DualGraph:
         )
 
     p = data.polydromy
-    one = {0: Fraction(1)}
-    a = _RatF({p: Fraction(1)}, one)
-    bterms: dict[int, Fraction] = {}
-    for (q, _), c in zip(data.pairs, data.cumulative_p()):
-        bterms[q * (p // c)] = Fraction(1)
-    b = _RatF(bterms, one)
+    betas = [q * (p // c) for (q, _), c in zip(data.pairs, data.cumulative_p())]
+    gaps = iter([b - a for a, b in zip(betas, betas[1:])])
+    oa, ob = p, betas[0]  # ob is None once b vanishes on the branch
 
     weights = {"Ltilde": 1}  # a line in the plane starts at +1
     order = ["Ltilde"]
@@ -167,13 +95,10 @@ def build_dual_graph(local_pairs, r: int) -> DualGraph:
     axis_b: str | None = None  # the curve {b = 0} currently is
 
     def blow_up() -> None:
-        nonlocal a, b, axis_a, axis_b
+        nonlocal oa, ob, axis_a, axis_b
         label = f"E{len(order)}"
         order.append(label)
         weights[label] = -1
-        oa, ob = a.ord(), b.ord()
-        assert oa is not None and oa >= 1
-        assert axis_b is None or (ob is not None and ob >= 1)
         for ax in (axis_a, axis_b):
             if ax is not None:
                 weights[ax] -= 1
@@ -183,20 +108,20 @@ def build_dual_graph(local_pairs, r: int) -> DualGraph:
             if ax is not None:
                 edges.add(frozenset((label, ax)))
         if ob is None or oa < ob:
-            b = b / a
+            if ob is not None:
+                ob -= oa
             axis_a = label
         elif ob < oa:
-            a = a / b
+            oa -= ob
             axis_b = label
         else:
-            quot = b / a
-            b = quot.sub_const(quot.lead())
+            ob = next(gaps, None)
             axis_a = label
             axis_b = None
 
     # minimal embedded resolution: stop once the branch is transverse to a
     # single exceptional curve
-    while not (axis_b is None and a.ord() == 1):
+    while not (axis_b is None and oa == 1):
         blow_up()
     for _ in range(r):
         blow_up()

@@ -22,104 +22,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvariantViolationError, PreconditionError
-from .semidegree import GenericDPS, LaurentPolyXY, XiPoly, XiSeries, substitute
-
-
-class LiftedPoly:
-    """Sparse element of Q[x, x^-1, y_1, ..., y_k].
-
-    Term keys are (x_exp, y1_exp, ..., yk_exp); x_exp may be negative, the
-    y-exponents may not.
-    """
-
-    __slots__ = ("k", "terms")
-
-    def __init__(self, k: int, terms):
-        items = terms.items() if hasattr(terms, "items") else terms
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for key, c in items:
-            c = Fraction(c)
-            if c == 0:
-                continue
-            key = tuple(int(v) for v in key)
-            if len(key) != k + 1:
-                raise ValueError(f"term key {key} does not match k={k}")
-            if any(v < 0 for v in key[1:]):
-                raise ValueError("negative y-exponent")
-            clean[key] = c
-        self.k = k
-        self.terms = clean
-
-    def sub_monomial(self, key: tuple[int, ...], c: Fraction) -> "LiftedPoly":
-        out = dict(self.terms)
-        out[key] = out.get(key, Fraction(0)) - c
-        return LiftedPoly(self.k, out)
-
-    def project(self, forms) -> LaurentPolyXY:
-        """Evaluate y_j -> forms[j] (forms[0] is x and is ignored; x itself
-        is substituted directly)."""
-        cache: dict[tuple[int, int], LaurentPolyXY] = {}
-
-        def fpow(j: int, n: int) -> LaurentPolyXY:
-            if n == 0:
-                return LaurentPolyXY.monomial(0, 0)
-            if (j, n) not in cache:
-                cache[(j, n)] = fpow(j, n - 1) * forms[j]
-            return cache[(j, n)]
-
-        out = LaurentPolyXY.zero()
-        for key, c in self.terms.items():
-            mono = LaurentPolyXY.monomial(key[0], 0, c)
-            for j, n in enumerate(key[1:], start=1):
-                if n:
-                    mono = mono * fpow(j, n)
-            out = out + mono
-        return out
-
-    def omega_value(self, key: tuple[int, ...], omegas) -> int:
-        """Weight of one monomial: x_exp*omega_0 + sum y_j-exp*omega_j."""
-        return sum(e * w for e, w in zip(key, omegas))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LiftedPoly)
-            and self.k == other.k
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return self.format()
-
-    def format(self, xname: str = "x") -> str:
-        if not self.terms:
-            return "0"
-        names = [xname] + [f"y{j}" for j in range(1, self.k + 1)]
-        keys = sorted(self.terms, key=lambda t: (tuple(-v for v in t[1:][::-1]), -t[0]))
-        parts: list[str] = []
-        for key in keys:
-            c = self.terms[key]
-            mag = abs(c)
-            factors = []
-            for name, e in zip(names, key):
-                if e == 0:
-                    continue
-                if e == 1:
-                    factors.append(name)
-                elif e >= 0:
-                    factors.append(f"{name}^{e}")
-                else:
-                    factors.append(f"{name}^({e})")
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+from .poly import Poly
+from .semidegree import XI, XY, GenericDPS, substitute
 
 
 @dataclass(frozen=True)
@@ -134,24 +38,23 @@ class EssentialKeyForms:
     """
 
     source: GenericDPS
-    forms: tuple[LaurentPolyXY, ...]
-    lifts: tuple[LiftedPoly, ...]
+    forms: tuple[Poly, ...]
+    lifts: tuple[Poly, ...]
     omegas: tuple[int, ...]
     alphas: tuple[int, ...]
-    all_forms: tuple[LaurentPolyXY, ...] | None = None
+    all_forms: tuple[Poly, ...] | None = None
 
     @property
     def l(self) -> int:
         return len(self.forms) - 2
 
-    def last(self) -> LaurentPolyXY:
+    def last(self) -> Poly:
         return self.forms[-1]
 
 
-def is_polynomial(f: LaurentPolyXY) -> bool:
+def is_polynomial(f: Poly) -> bool:
     """No negative x-exponents (the zero polynomial counts as polynomial)."""
-    m = f.min_x_exponent()
-    return m is None or m >= 0
+    return f.is_zero() or f.ord() >= 0
 
 
 def _decompose_weight(target: int, omegas, ps) -> tuple[int, tuple[int, ...]]:
@@ -159,7 +62,10 @@ def _decompose_weight(target: int, omegas, ps) -> tuple[int, tuple[int, ...]]:
     0 <= b_j < p_j.  Existence needs gcd(omega_0..omega_{j-1}) | things, which
     holds exactly on the lattice targets the absorption loop produces."""
     k = len(omegas) - 1
-    assert len(ps) == k
+    if len(ps) != k:
+        raise InvariantViolationError(
+            "one bound p_j per pole after omega_0 expected", omegas=tuple(omegas), ps=tuple(ps)
+        )
     t = target
     betas = [0] * k
     for j in range(k, 0, -1):
@@ -231,45 +137,34 @@ def essential_key_forms(g: GenericDPS, want_all: bool = False) -> EssentialKeyFo
             raise InvariantViolationError("non-integral pole value", value=v)
         return int(v)
 
-    forms: list[LaurentPolyXY] = [LaurentPolyXY.x()]
-    chain: list[LaurentPolyXY] = [LaurentPolyXY.x()]
+    x = Poly.monomial(XY, (1, 0))
+    forms: list[Poly] = [x]
+    chain: list[Poly] = [x]
 
     head = _integer_head(g)
-    f1 = LaurentPolyXY.y()
+    f1 = Poly.monomial(XY, (0, 1))
     if want_all:
         chain.append(f1)
     for e, c in head:
-        f1 = f1 - LaurentPolyXY.monomial(int(e), 0, c)
+        f1 = f1 - Poly.monomial(XY, (int(e), 0), c)
         if want_all:
             chain.append(f1)
     forms.append(f1)
     # F_1 is f_1 with y written as y_1 (there is no previous y-form to lift to)
-    lifts: list[LiftedPoly] = [
-        LiftedPoly(1, {(0, 1): Fraction(1), **{(int(e), 0): -c for e, c in head}})
+    lifts: list[Poly] = [
+        Poly(_lift_names(1), {(0, 1): 1, **{(int(e), 0): -c for e, c in head}})
     ]
 
-    subs: list[XiSeries] = [
-        XiSeries.monomial(1, XiPoly.const(1)),
-        substitute(f1, g),
-    ]
+    subs: list[Poly] = [Poly.monomial(XI, (Fraction(1), 0)), substitute(f1, g)]
     omegas: list[int] = [delta_x, to_pole(subs[1].deg())]
 
     for k in range(1, l + 1):
         p_k = pairs[k - 1][1]
-        lift = LiftedPoly(
-            k, {tuple([0] * k + [p_k]): Fraction(1)}
-        )
+        names = _lift_names(k)
+        lift = {(0,) * k + (p_k,): Fraction(1)}
         s = subs[k] ** p_k
         w_stop = _stopping_exponent(s, k, l, cum)
-        pow_cache: dict[tuple[int, int], XiSeries] = {}
-
-        def spow(j: int, n: int, _cache=pow_cache) -> XiSeries:
-            if n == 0:
-                return XiSeries.one()
-            if (j, n) not in _cache:
-                _cache[(j, n)] = spow(j, n - 1, _cache) * subs[j]
-            return _cache[(j, n)]
-
+        pow_cache: dict[tuple[int, int], Poly] = {}
         last_deg: Fraction | None = None
         absorbed = 0
         while True:
@@ -292,45 +187,28 @@ def essential_key_forms(g: GenericDPS, want_all: bool = False) -> EssentialKeyFo
                     series=repr(s),
                 )
             last_deg = d
-            c_poly = s.lead_coeff()
-            if not c_poly.is_constant():
-                raise InvariantViolationError(
-                    "xi-dependent coefficient above the stopping exponent",
-                    k=k,
-                    degree=d,
-                    coefficient=repr(c_poly),
-                    stopping=w_stop,
-                )
-            c = c_poly.constant_value()
-            target = to_pole(d)
-            a0, betas = _decompose_weight(
-                target, omegas[: k + 1], [p for _, p in pairs[:k]]
+            c = _xi_free_lead(
+                s, "xi-dependent coefficient above the stopping exponent",
+                k=k, degree=d, stopping=w_stop,
             )
-            lam = Fraction(1)
-            for j, bj in enumerate(betas, start=1):
-                if bj:
-                    ljc = subs[j].lead_coeff()
-                    if not ljc.is_constant():
-                        raise InvariantViolationError(
-                            "xi-dependent leading coefficient in a correction factor",
-                            j=j,
-                            coefficient=repr(ljc),
-                        )
-                    lam *= ljc.constant_value() ** bj
-            coef = c / lam
+            a0, betas = _decompose_weight(
+                to_pole(d), omegas[: k + 1], [p for _, p in pairs[:k]]
+            )
             key = (a0, *betas)
-            lift = lift.sub_monomial(key, coef)
-            correction = XiSeries.monomial(a0, XiPoly.const(coef))
-            for j, bj in enumerate(betas, start=1):
-                if bj:
-                    correction = correction * spow(j, bj)
-            s = s - correction
+            # x^a0 * f_1^b_1 ... f_k^b_k substituted, then scaled to cancel the top term
+            correction = Poly.monomial(names, key).evaluate(subs, pow_cache)
+            coef = c / _xi_free_lead(
+                correction, "xi-dependent leading coefficient in a correction factor",
+                k=k, key=key,
+            )
+            lift[key] = lift.get(key, 0) - coef
+            s = s - correction.scale(coef)
             absorbed += 1
             if want_all:
-                chain.append(lift.project(forms))
+                chain.append(Poly(names, lift).evaluate(forms))
+        lift = Poly(names, lift)
         lifts.append(lift)
-        f_next = chain[-1] if want_all else lift.project(forms)
-        forms.append(f_next)
+        forms.append(chain[-1] if want_all else lift.evaluate(forms))
         subs.append(s)
         omegas.append(to_pole(w_stop))
 
@@ -346,7 +224,21 @@ def essential_key_forms(g: GenericDPS, want_all: bool = False) -> EssentialKeyFo
     return result
 
 
-def _stopping_exponent(s: XiSeries, k: int, l: int, cum) -> Fraction:
+def _lift_names(k: int) -> tuple[str, ...]:
+    return ("x",) + tuple(f"y{j}" for j in range(1, k + 1))
+
+
+def _xi_free_lead(s: Poly, message: str, **state) -> Fraction:
+    """Coefficient of the top power of x in a series keyed (x, xi), which
+    must not involve xi."""
+    lead = s.leading()
+    if lead.deg(1) != 0:
+        raise InvariantViolationError(message, coefficient=repr(lead), **state)
+    (c,) = lead.terms.values()
+    return c
+
+
+def _stopping_exponent(s: Poly, k: int, l: int, cum) -> Fraction:
     """Next pole position, read off the freshly raised power.
 
     Below the final level: the largest exponent outside the lattice
@@ -355,10 +247,10 @@ def _stopping_exponent(s: XiSeries, k: int, l: int, cum) -> Fraction:
     """
     if k < l:
         lat = cum[k - 1]
-        cand = [e for e in s.terms if (e * lat).denominator != 1]
+        cand = [e for e, _ in s.terms if (e * lat).denominator != 1]
         what = "exponent outside the current lattice"
     else:
-        cand = [e for e, cp in s.terms.items() if cp.degree() >= 1]
+        cand = [e for e, d in s.terms if d >= 1]
         what = "xi-dependent exponent"
     if not cand:
         raise InvariantViolationError(
@@ -388,7 +280,7 @@ def _check_gcd_structure(keys: EssentialKeyForms) -> None:
             )
 
 
-def all_key_forms(g: GenericDPS) -> tuple[LaurentPolyXY, ...]:
+def all_key_forms(g: GenericDPS) -> tuple[Poly, ...]:
     """The full key-form chain: x, the head truncations of f_1, and every
     intermediate absorption state, ending at the last essential form."""
     return essential_key_forms(g, want_all=True).all_forms

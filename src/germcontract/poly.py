@@ -1,0 +1,204 @@
+"""Sparse polynomials over Q keyed by exponent tuples.
+
+One class carries every polynomial of the package.  A key form or a witness
+curve lives in Q[x, x^-1, y] and is keyed (x, y); the lift of a key form
+lives in Q[x, x^-1, y_1, ..., y_k] and is keyed (x, y_1, ..., y_k); a generic
+series substituted into a form is keyed (x, xi) with a rational x-exponent
+and the degree of the free coefficient xi.  The first exponent may be
+negative (or rational); every later one is a non-negative integer.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .errors import PreconditionError
+
+
+class Poly:
+    """Map from exponent tuples to nonzero Fraction coefficients, with the
+    names of its variables (the first one is x)."""
+
+    __slots__ = ("names", "terms")
+
+    def __init__(self, names, terms=None):
+        names = tuple(names)
+        clean: dict[tuple, Fraction] = {}
+        for key, c in (terms or {}).items():
+            c = Fraction(c)
+            if c == 0:
+                continue
+            key = tuple(key)
+            if len(key) != len(names):
+                raise ValueError(f"term key {key} does not match the variables {names}")
+            if any(e < 0 for e in key[1:]):
+                raise ValueError(f"negative exponent of {names[1:]} in {key}")
+            clean[key] = c
+        self.names = names
+        self.terms = clean
+
+    @classmethod
+    def _make(cls, names: tuple, terms: dict) -> "Poly":
+        """Wrap terms that are already clean (Fraction values, no zeros)."""
+        out = object.__new__(cls)
+        out.names = names
+        out.terms = terms
+        return out
+
+    @classmethod
+    def monomial(cls, names, key, c=1) -> "Poly":
+        return cls(names, {key: c})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def deg(self, i: int = 0) -> Fraction | int:
+        """Largest exponent of variable i."""
+        if not self.terms:
+            raise PreconditionError("deg of the zero polynomial is undefined")
+        return max(key[i] for key in self.terms)
+
+    def ord(self, i: int = 0) -> Fraction | int:
+        """Smallest exponent of variable i."""
+        if not self.terms:
+            raise PreconditionError("ord of the zero polynomial is undefined")
+        return min(key[i] for key in self.terms)
+
+    def leading(self, i: int = 0) -> "Poly":
+        """The terms whose exponent of variable i is deg(i)."""
+        d = self.deg(i)
+        return Poly._make(self.names, {k: c for k, c in self.terms.items() if k[i] == d})
+
+    def coeff(self, key) -> Fraction:
+        return self.terms.get(tuple(key), Fraction(0))
+
+    def __add__(self, other: "Poly") -> "Poly":
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            v = out.get(k)
+            out[k] = c if v is None else v + c
+        return Poly._make(self.names, {k: c for k, c in out.items() if c})
+
+    def __neg__(self) -> "Poly":
+        return Poly._make(self.names, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            v = out.get(k)
+            out[k] = -c if v is None else v - c
+        return Poly._make(self.names, {k: c for k, c in out.items() if c})
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        out: dict[tuple, Fraction] = {}
+        get = out.get
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = tuple(a + b for a, b in zip(k1, k2))
+                v = get(k)
+                out[k] = c1 * c2 if v is None else v + c1 * c2
+        return Poly._make(self.names, {k: c for k, c in out.items() if c})
+
+    def scale(self, c) -> "Poly":
+        c = Fraction(c)
+        if c == 0:
+            return Poly._make(self.names, {})
+        return Poly._make(self.names, {k: v * c for k, v in self.terms.items()})
+
+    def __pow__(self, n: int) -> "Poly":
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        result = Poly._make(self.names, {(0,) * len(self.names): Fraction(1)})
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            if n > 1:
+                base = base * base
+            n >>= 1
+        return result
+
+    def evaluate(self, images, cache: dict | None = None) -> "Poly":
+        """self(x, images[1], ..., images[n-1]) in the ring of the images.
+
+        images[0] is x of that ring and stands for the first variable, which
+        keeps its exponent (so x^-1 stays a monomial).  cache maps (j, m) to
+        images[j]**m; pass the same dict to calls with the same images to
+        share the powers between them.
+        """
+        cache = {} if cache is None else cache
+        names = images[0].names
+        one = {(0,) * len(names): Fraction(1)}
+        out: dict[tuple, Fraction] = {}
+        for key, c in self.terms.items():
+            prod = None
+            for j in range(1, len(key)):
+                if key[j]:
+                    pw = _power(images, j, key[j], cache)
+                    prod = pw if prod is None else prod * pw
+            a = key[0]
+            for k, v in (one if prod is None else prod.terms).items():
+                k = (k[0] + a,) + k[1:]
+                w = out.get(k)
+                out[k] = c * v if w is None else w + c * v
+        return Poly._make(names, {k: c for k, c in out.items() if c})
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Poly)
+            and self.names == other.names
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.names, frozenset(self.terms.items())))
+
+    def format(self) -> str:
+        """Terms ordered by the last variable's exponent first, then the one
+        before it, down to x, each descending."""
+        keys = sorted(self.terms, key=lambda k: k[::-1], reverse=True)
+        return format_terms(((k, self.terms[k]) for k in keys), self.names)
+
+    def __repr__(self) -> str:
+        return self.format()
+
+
+def _power(images, j: int, m: int, cache: dict) -> Poly:
+    """images[j]**m, multiplied up from the largest cached power below it."""
+    if (j, m) not in cache:
+        n = m - 1
+        while n and (j, n) not in cache:
+            n -= 1
+        pw = cache[(j, n)] if n else None
+        for i in range(n + 1, m + 1):
+            pw = images[j] if pw is None else pw * images[j]
+            cache[(j, i)] = pw
+    return cache[(j, m)]
+
+
+def _format_exponent(e) -> str:
+    if e == 1:
+        return ""
+    if e.denominator == 1 and e >= 0:
+        return f"^{e}"
+    return f"^({e})"
+
+
+def format_terms(terms, names) -> str:
+    """Signed sum of the (exponent tuple, coefficient) pairs in the order
+    given, e.g. "y^5 - 5*x^(-1)*y^4 - x^2"; "0" for no terms."""
+    parts: list[str] = []
+    for key, c in terms:
+        factors = [f"{n}{_format_exponent(e)}" for n, e in zip(names, key) if e != 0]
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"

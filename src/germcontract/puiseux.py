@@ -21,10 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 from types import MappingProxyType
 
-from .errors import PreconditionError, SeriesParseError
+from .errors import InvariantViolationError, PreconditionError, SeriesParseError
+from .poly import format_terms
 
 RatLike = Fraction | int | str
 
@@ -175,18 +178,38 @@ class CharacteristicData:
 
     def cumulative_p(self) -> tuple[int, ...]:
         """(p_1, p_1p_2, ..., p_1..p_k)."""
-        out = []
-        acc = 1
-        for _, p in self.pairs:
-            acc *= p
-            out.append(acc)
-        return tuple(out)
+        return cumulative_products(self.pairs)
 
     def char_exponents(self) -> tuple[Fraction, ...]:
         """q_k / (p_1..p_k) for each pair."""
         return tuple(
             Fraction(q, cp) for (q, _), cp in zip(self.pairs, self.cumulative_p())
         )
+
+
+def local_pair_data(local_pairs) -> CharacteristicData:
+    """The pairs as CharacteristicData (passed through if they already are),
+    checked on the local side: positive q_k and strictly increasing
+    exponents q_k/(p_1..p_k)."""
+    data = (
+        local_pairs
+        if isinstance(local_pairs, CharacteristicData)
+        else CharacteristicData.from_pairs(local_pairs)
+    )
+    exps = data.char_exponents()
+    for k, ((q, _), e) in enumerate(zip(data.pairs, exps)):
+        if q < 1:
+            raise PreconditionError(f"local pair with q = {q}: q must be >= 1")
+        if k and e <= exps[k - 1]:
+            raise PreconditionError(
+                f"characteristic exponents must increase: {exps[k - 1]} then {e}"
+            )
+    return data
+
+
+def cumulative_products(pairs) -> tuple[int, ...]:
+    """Running products p_1, p_1p_2, ... of the p's of pairs (q_k, p_k)."""
+    return tuple(accumulate((p for _, p in pairs), mul))
 
 
 def puiseux_pairs(phi: PuiseuxPoly) -> CharacteristicData:
@@ -206,7 +229,11 @@ def puiseux_pairs(phi: PuiseuxPoly) -> CharacteristicData:
         d_new = lcm(d, e.denominator)
         p_k = d_new // d
         q_k = e * d_new
-        assert q_k.denominator == 1 and gcd(int(q_k), p_k) == 1
+        if q_k.denominator != 1 or gcd(int(q_k), p_k) != 1:
+            raise InvariantViolationError(
+                "new characteristic pair is not a coprime integer pair",
+                exponent=e, q=q_k, p=p_k, lattice=d,
+            )
         pairs.append((int(q_k), p_k))
         d = d_new
     return CharacteristicData(tuple(pairs), d)
@@ -391,34 +418,6 @@ def parse_puiseux(text: str, orientation: Orientation | None = None) -> PuiseuxP
     return PuiseuxPoly(final, terms)
 
 
-def _format_exponent(e: Fraction) -> str:
-    if e == 1:
-        return ""
-    if e.denominator == 1 and e >= 0:
-        return f"^{e}"
-    return f"^({e})"
-
-
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def format_puiseux(phi: PuiseuxPoly) -> str:
-    if phi.is_zero():
-        return "0"
-    var = phi.orientation.var
-    parts: list[str] = []
-    for e in phi.support():
-        c = phi.terms[e]
-        mag = abs(c)
-        if e == 0:
-            body = _format_coeff(mag)
-        elif mag == 1:
-            body = f"{var}{_format_exponent(e)}"
-        else:
-            body = f"{_format_coeff(mag)}*{var}{_format_exponent(e)}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    terms = (((e,), phi.terms[e]) for e in phi.support())
+    return format_terms(terms, (phi.orientation.var,))

@@ -3,10 +3,10 @@
 A GenericDPS is a finite degree-wise series phi plus one formal tail term
 xi * x^r_delta whose coefficient xi is a free parameter sitting strictly
 below every exponent of phi.  Substituting it for y in a Laurent polynomial
-f(x, y) produces a finite sum of powers of x with coefficients in Q[xi]
-(an XiSeries); the semidegree of f is delta_x times the largest exponent
-carrying a nonzero coefficient, where delta_x is the lattice denominator of
-the generic series (product of its formal pair p's).
+f(x, y) produces a finite sum of terms c * x^e * xi^d (a Poly keyed
+(e, d)); the semidegree of f is delta_x times the largest exponent e
+carrying a nonzero term, where delta_x is the lattice denominator of the
+generic series (product of its formal pair p's).
 
 The formal pairs of a GenericDPS extend the characteristic pairs of phi by
 the pair of r_delta relative to phi's lattice; for series derived from a
@@ -16,334 +16,28 @@ curve germ plus an integer r >= 1 the extra pair has p = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .errors import PreconditionError, SeriesParseError
+from .errors import InvariantViolationError, PreconditionError, SeriesParseError
+from .poly import Poly
 from .puiseux import (
     CharacteristicData,
     Orientation,
     PuiseuxPoly,
+    cumulative_products,
     parse_terms,
     puiseux_pairs,
 )
 
 
-class XiPoly:
-    """Dense univariate polynomial in the generic coefficient xi over Q."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c) -> "XiPoly":
-        return cls((Fraction(c),))
-
-    @classmethod
-    def xi(cls) -> "XiPoly":
-        return cls((Fraction(0), Fraction(1)))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def degree(self) -> int:
-        """Degree in xi; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "XiPoly") -> "XiPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return XiPoly(out)
-
-    def __neg__(self) -> "XiPoly":
-        return XiPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "XiPoly") -> "XiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "XiPoly") -> "XiPoly":
-        if self.is_zero() or other.is_zero():
-            return XiPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return XiPoly(out)
-
-    def scale(self, c) -> "XiPoly":
-        c = Fraction(c)
-        return XiPoly(tuple(a * c for a in self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, XiPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        bits = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                bits.append(str(c))
-            elif i == 1:
-                bits.append(f"{c}*xi" if c != 1 else "xi")
-            else:
-                bits.append(f"{c}*xi^{i}" if c != 1 else f"xi^{i}")
-        return " + ".join(bits)
+XY = ("x", "y")  # variables of key forms and witness curves
+XI = ("x", "xi")  # variables of a substituted generic series
 
 
-_XP_ZERO = XiPoly(())
-
-
-class XiSeries:
-    """Finite sum of c_e(xi) * x^e with rational exponents e."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        items = terms.items() if hasattr(terms, "items") else terms
-        clean: dict[Fraction, XiPoly] = {}
-        for e, cp in items:
-            if cp.is_zero():
-                continue
-            clean[Fraction(e)] = cp
-        self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "XiSeries":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "XiSeries":
-        return cls({Fraction(0): XiPoly.const(1)})
-
-    @classmethod
-    def monomial(cls, e, cp: XiPoly) -> "XiSeries":
-        return cls({Fraction(e): cp})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def deg(self) -> Fraction:
-        """Largest exponent with a nonzero coefficient polynomial."""
-        if self.is_zero():
-            raise PreconditionError("deg of the zero series is undefined")
-        return max(self.terms)
-
-    def coeff(self, e) -> XiPoly:
-        return self.terms.get(Fraction(e), _XP_ZERO)
-
-    def lead_coeff(self) -> XiPoly:
-        return self.terms[self.deg()]
-
-    def __add__(self, other: "XiSeries") -> "XiSeries":
-        out = dict(self.terms)
-        for e, cp in other.terms.items():
-            cur = out.get(e)
-            out[e] = cp if cur is None else cur + cp
-        return XiSeries(out)
-
-    def __sub__(self, other: "XiSeries") -> "XiSeries":
-        out = dict(self.terms)
-        for e, cp in other.terms.items():
-            cur = out.get(e)
-            out[e] = -cp if cur is None else cur - cp
-        return XiSeries(out)
-
-    def __mul__(self, other: "XiSeries") -> "XiSeries":
-        out: dict[Fraction, XiPoly] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                prod = c1 * c2
-                cur = out.get(e)
-                out[e] = prod if cur is None else cur + prod
-        return XiSeries(out)
-
-    def scale(self, c) -> "XiSeries":
-        c = Fraction(c)
-        if c == 0:
-            return XiSeries.zero()
-        return XiSeries({e: cp.scale(c) for e, cp in self.terms.items()})
-
-    def __pow__(self, n: int) -> "XiSeries":
-        if n < 0:
-            raise ValueError("negative power of a series")
-        result = XiSeries.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n > 1
-            if base_needed:
-                base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, XiSeries) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        bits = [f"({cp})*x^({e})" for e, cp in sorted(self.terms.items(), reverse=True)]
-        return " + ".join(bits) if bits else "0"
-
-
-class LaurentPolyXY:
-    """Sparse polynomial in x, x^-1 and y (y-exponents >= 0) over Q."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        items = terms.items() if hasattr(terms, "items") else terms
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (a, b), c in items:
-            c = Fraction(c)
-            if c == 0:
-                continue
-            a = int(a)
-            b = int(b)
-            if b < 0:
-                raise ValueError("negative y-exponent")
-            clean[(a, b)] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "LaurentPolyXY":
-        return cls({})
-
-    @classmethod
-    def monomial(cls, a: int, b: int, c=1) -> "LaurentPolyXY":
-        return cls({(a, b): Fraction(c)})
-
-    @classmethod
-    def x(cls) -> "LaurentPolyXY":
-        return cls.monomial(1, 0)
-
-    @classmethod
-    def y(cls) -> "LaurentPolyXY":
-        return cls.monomial(0, 1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def deg_y(self) -> int:
-        return max((b for _, b in self.terms), default=0)
-
-    def min_x_exponent(self) -> int | None:
-        return min((a for a, _ in self.terms), default=None)
-
-    def coeff(self, a: int, b: int) -> Fraction:
-        return self.terms.get((a, b), Fraction(0))
-
-    def is_monic_in_y(self) -> bool:
-        d = self.deg_y()
-        lead = [(a, c) for (a, b), c in self.terms.items() if b == d]
-        return lead == [(0, Fraction(1))]
-
-    def __add__(self, other: "LaurentPolyXY") -> "LaurentPolyXY":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return LaurentPolyXY(out)
-
-    def __neg__(self) -> "LaurentPolyXY":
-        return LaurentPolyXY({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPolyXY") -> "LaurentPolyXY":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPolyXY") -> "LaurentPolyXY":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return LaurentPolyXY(out)
-
-    def scale(self, c) -> "LaurentPolyXY":
-        c = Fraction(c)
-        return LaurentPolyXY({k: v * c for k, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> "LaurentPolyXY":
-        if n < 0:
-            raise ValueError("negative power")
-        result = LaurentPolyXY.monomial(0, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPolyXY) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def format(self, xname: str = "x", yname: str = "y") -> str:
-        if self.is_zero():
-            return "0"
-        keys = sorted(self.terms, key=lambda k: (-k[1], -k[0]))
-        parts: list[str] = []
-        for a, b in keys:
-            c = self.terms[(a, b)]
-            mag = abs(c)
-            factors = []
-            if a != 0:
-                factors.append(f"{xname}{_fmt_int_exp(a)}")
-            if b != 0:
-                factors.append(f"{yname}{_fmt_int_exp(b)}")
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return self.format()
-
-
-def _fmt_int_exp(e: int) -> str:
-    if e == 1:
-        return ""
-    return f"^{e}" if e >= 0 else f"^({e})"
-
-
-def parse_poly(text: str, xname: str = "x", yname: str = "y") -> LaurentPolyXY:
+def parse_poly(text: str, xname: str = "x", yname: str = "y") -> Poly:
     """Parse a two-variable polynomial (negative powers of the first
-    variable allowed); same term grammar as the series parser, repeated
-    monomials accumulate."""
+    variable allowed) into a Poly in x, y; same term grammar as the series
+    parser, repeated monomials accumulate."""
     terms: dict[tuple[int, int], Fraction] = {}
     for coeff, powers, pos in parse_terms(text, (xname, yname)):
         a = powers.get(xname, Fraction(0))
@@ -354,7 +48,7 @@ def parse_poly(text: str, xname: str = "x", yname: str = "y") -> LaurentPolyXY:
             raise SeriesParseError(f"negative {yname}-exponent", pos)
         key = (int(a), int(b))
         terms[key] = terms.get(key, Fraction(0)) + coeff
-    return LaurentPolyXY(terms)
+    return Poly(XY, terms)
 
 
 class GenericDPS:
@@ -380,7 +74,10 @@ class GenericDPS:
         scaled = r_delta * base.polydromy
         xi_p = scaled.denominator
         xi_q = int(scaled * xi_p)
-        assert gcd(xi_q, xi_p) == 1 or xi_q == 0
+        if gcd(xi_q, xi_p) != 1 and xi_q != 0:
+            raise InvariantViolationError(
+                "generic pair is not coprime", r_delta=r_delta, pair=(xi_q, xi_p)
+            )
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "r_delta", r_delta)
         object.__setattr__(self, "phi_pairs", base)
@@ -401,12 +98,7 @@ class GenericDPS:
 
     def cumulative_p(self) -> tuple[int, ...]:
         """(p_1, p_1p_2, ..., p_1..p_{l+1})."""
-        out = []
-        acc = 1
-        for _, p in self.formal_pairs:
-            acc *= p
-            out.append(acc)
-        return tuple(out)
+        return cumulative_products(self.formal_pairs)
 
     def formal_exponents(self) -> tuple[Fraction, ...]:
         """q_k/(p_1..p_k) for every formal pair; the last one is r_delta."""
@@ -414,10 +106,11 @@ class GenericDPS:
             Fraction(q, cp) for (q, _), cp in zip(self.formal_pairs, self.cumulative_p())
         )
 
-    def xiseries(self) -> XiSeries:
-        out = {e: XiPoly.const(c) for e, c in self.phi.terms.items()}
-        out[self.r_delta] = XiPoly.xi()
-        return XiSeries(out)
+    def xiseries(self) -> Poly:
+        """phi + xi*x^r_delta keyed (x-exponent, xi-degree)."""
+        out = {(e, 0): c for e, c in self.phi.terms.items()}
+        out[(self.r_delta, 1)] = Fraction(1)
+        return Poly(XI, out)
 
     def truncated(self, k: int) -> "GenericDPS":
         """The k-th truncation: keep the terms of phi strictly above the k-th
@@ -461,34 +154,21 @@ def generic_dps_from_curve(psi: PuiseuxPoly, r: int) -> GenericDPS:
     return GenericDPS(psi.keep_above(cut), cut)
 
 
-def substitute(f: LaurentPolyXY, g: GenericDPS) -> XiSeries:
-    """f(x, g) as an XiSeries.  Ring homomorphism in f."""
-    base = g.xiseries()
-    powers: dict[int, XiSeries] = {0: XiSeries.one()}
-
-    def ypow(n: int) -> XiSeries:
-        if n not in powers:
-            powers[n] = ypow(n - 1) * base
-        return powers[n]
-
-    out = XiSeries.zero()
-    by_ydeg: dict[int, list[tuple[int, Fraction]]] = {}
-    for (a, b), c in f.terms.items():
-        by_ydeg.setdefault(b, []).append((a, c))
-    for b in sorted(by_ydeg):
-        xpart = XiSeries(
-            {Fraction(a): XiPoly.const(c) for a, c in by_ydeg[b]}
-        )
-        out = out + xpart * ypow(b)
-    return out
+def substitute(f: Poly, g: GenericDPS) -> Poly:
+    """f(x, g) keyed (x-exponent, xi-degree).  Ring homomorphism in f."""
+    return f.evaluate((Poly.monomial(XI, (Fraction(1), 0)), g.xiseries()))
 
 
-def semidegree_eval(f: LaurentPolyXY, g: GenericDPS) -> int:
+def semidegree_eval(f: Poly, g: GenericDPS) -> int:
     """delta_x * deg_x(f(x, g)); an integer for every nonzero f."""
     if f.is_zero():
         raise PreconditionError("semidegree of the zero polynomial is undefined")
     s = substitute(f, g)
-    assert not s.is_zero(), "substitution of a nonzero polynomial vanished"
+    if s.is_zero():
+        raise InvariantViolationError(
+            "substitution of a nonzero polynomial vanished", f=f, g=g
+        )
     val = g.delta_x * s.deg()
-    assert val.denominator == 1, f"semidegree {val} is not an integer"
+    if val.denominator != 1:
+        raise InvariantViolationError("semidegree is not an integer", value=val, f=f, g=g)
     return int(val)

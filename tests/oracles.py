@@ -11,6 +11,9 @@ quantity from first principles by a different route than the library:
   exhaustive enumeration of coefficient vectors.
 * ``decompose_bruteforce`` -- all representations of an integer over a weight
   vector with bounded middle coefficients (uniqueness oracle).
+* ``dual_graph_oracle`` -- the weighted dual graph by simulating the blow-ups
+  on an exact parametrization: the branch is followed through the charts as
+  a pair of rational functions in t.
 
 Run as a script to print the frozen values used in the deterministic tests.
 """
@@ -92,6 +95,149 @@ def decompose_bruteforce(
         if rest % omegas[0] == 0:
             out.append((rest // omegas[0], betas))
     return out
+
+
+# --- dual graph by blow-up simulation ----------------------------------------
+
+
+def _pmul(f: dict, g: dict) -> dict:
+    out: dict[int, Fraction] = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = e1 + e2
+            c = out.get(e, Fraction(0)) + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _psub(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for e, c in g.items():
+        v = out.get(e, Fraction(0)) - c
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _pscale(f: dict, c: Fraction) -> dict:
+    return {e: c * v for e, v in f.items()} if c else {}
+
+
+class _RatF:
+    """num/den pair of polynomials in t (dict exponent -> Fraction), exact;
+    common powers of t are stripped on construction."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: dict, den: dict):
+        num = {e: c for e, c in num.items() if c}
+        den = {e: c for e, c in den.items() if c}
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if num:
+            s = min(min(num), min(den))
+            if s:
+                num = {e - s: c for e, c in num.items()}
+                den = {e - s: c for e, c in den.items()}
+        self.num = num
+        self.den = den
+
+    def ord(self) -> int | None:
+        """Vanishing order at t = 0; None for the zero function."""
+        if not self.num:
+            return None
+        return min(self.num) - min(self.den)
+
+    def lead(self) -> Fraction:
+        return self.num[min(self.num)] / self.den[min(self.den)]
+
+    def __truediv__(self, other: "_RatF") -> "_RatF":
+        return _RatF(_pmul(self.num, other.den), _pmul(self.den, other.num))
+
+    def sub_const(self, c: Fraction) -> "_RatF":
+        return _RatF(_psub(self.num, _pscale(self.den, c)), self.den)
+
+
+def dual_graph_oracle(pairs: list[tuple[int, int]], r: int):
+    """(labels, weights, edges, estar_attachment) of the dual graph of
+    (pairs, r), in the layout of the package's DualGraph.
+
+    The curve with coefficient 1 on every characteristic exponent is followed
+    through the charts as (a(t), b(t)).  Each blow-up centers at the point
+    the branch sits on, updates the two tracked axis curves, decrements the
+    self-intersection of every curve through the center and connects the new
+    exceptional curve to them.  The simulation stops once the branch meets a
+    single exceptional curve transversally, continues with r further
+    blow-ups, and removes the last exceptional curve E*.
+    """
+    p = 1
+    for _, pk in pairs:
+        p *= pk
+    one = {0: Fraction(1)}
+    a = _RatF({p: Fraction(1)}, one)
+    bterms: dict[int, Fraction] = {}
+    acc = 1
+    for q, pk in pairs:
+        acc *= pk
+        bterms[q * (p // acc)] = Fraction(1)
+    b = _RatF(bterms, one)
+
+    weights = {"Ltilde": 1}  # a line in the plane starts at +1
+    order = ["Ltilde"]
+    edges: set[frozenset[str]] = set()
+    axis_a: str | None = "Ltilde"  # the curve {a = 0} currently is
+    axis_b: str | None = None  # the curve {b = 0} currently is
+
+    def blow_up() -> None:
+        nonlocal a, b, axis_a, axis_b
+        label = f"E{len(order)}"
+        order.append(label)
+        weights[label] = -1
+        oa, ob = a.ord(), b.ord()
+        assert oa is not None and oa >= 1
+        assert axis_b is None or (ob is not None and ob >= 1)
+        for ax in (axis_a, axis_b):
+            if ax is not None:
+                weights[ax] -= 1
+        if axis_a is not None and axis_b is not None:
+            edges.discard(frozenset((axis_a, axis_b)))
+        for ax in (axis_a, axis_b):
+            if ax is not None:
+                edges.add(frozenset((label, ax)))
+        if ob is None or oa < ob:
+            b = b / a
+            axis_a = label
+        elif ob < oa:
+            a = a / b
+            axis_b = label
+        else:
+            quot = b / a
+            b = quot.sub_const(quot.lead())
+            axis_a = label
+            axis_b = None
+
+    while not (axis_b is None and a.ord() == 1):
+        blow_up()
+    for _ in range(r):
+        blow_up()
+
+    estar = order.pop()
+    attach = sorted(
+        (next(iter(e - {estar})) for e in edges if estar in e),
+        key=order.index,
+    )
+    remaining = [e for e in edges if estar not in e]
+    del weights[estar]
+    index = {lab: i for i, lab in enumerate(order)}
+    edge_idx = tuple(
+        sorted(tuple(sorted((index[x], index[y]))) for x, y in remaining)
+    )
+    return order, [weights[lab] for lab in order], edge_idx, tuple(attach)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from germcontract import (
     CharacteristicData,
-    LaurentPolyXY,
     Orientation,
+    Poly,
     PuiseuxPoly,
     generic_dps_from_curve,
     local_to_degreewise,
@@ -102,4 +102,4 @@ def laurent_polys(draw, max_terms: int = 4):
         a = draw(st.integers(-3, 4))
         b = draw(st.integers(0, 3))
         terms[(a, b)] = draw(st.sampled_from(COEFFS))
-    return LaurentPolyXY(terms)
+    return Poly(("x", "y"), terms)

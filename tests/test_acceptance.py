@@ -13,7 +13,7 @@ import test_properties
 
 from germcontract import (
     Classification,
-    LiftedPoly,
+    Poly,
     alpha_invariant,
     all_key_forms,
     build_dual_graph,
@@ -68,11 +68,13 @@ def test_acceptance_1_worked_key_form_chain(capsys):
         assert g.formal_exponents()[-1] == F(-8, 3)
         keys = essential_key_forms(g)
         assert keys.forms[1] == parse_poly("y - x^3 - x^2")
-        assert keys.lifts[1] == LiftedPoly(
-            1, {(0, 3): F(1), (1, 2): F(-3), (2, 1): F(3), (5, 0): F(-1), (3, 0): F(-1)}
+        assert keys.lifts[1] == Poly(
+            ("x", "y1"),
+            {(0, 3): F(1), (1, 2): F(-3), (2, 1): F(3), (5, 0): F(-1), (3, 0): F(-1)},
         )
-        assert keys.lifts[2] == LiftedPoly(
-            2, {(0, 0, 2): F(1), (1, 0, 1): F(-6), (-1, 2, 0): F(-9), (2, 0, 0): F(9)}
+        assert keys.lifts[2] == Poly(
+            ("x", "y1", "y2"),
+            {(0, 0, 2): F(1), (1, 0, 1): F(-6), (-1, 2, 0): F(-9), (2, 0, 0): F(9)},
         )
         assert (
             keys.lifts[1].format() == "y1^3 - 3*x*y1^2 + 3*x^2*y1 - x^5 - x^3"
@@ -82,11 +84,12 @@ def test_acceptance_1_worked_key_form_chain(capsys):
         # the constant term of the last form is pinned down by the chain's
         # defining properties; the doubled variant breaks both of them
         good = keys.forms[3]
-        bad = keys.lifts[2].sub_monomial((2, 0, 0), F(-9)).project(keys.forms[:3])
+        lift = keys.lifts[2]
+        bad = (lift - Poly(lift.names, {(2, 0, 0): F(-9)})).evaluate(keys.forms[:3])
         assert semidegree_eval(good, g) == 11
         assert semidegree_eval(bad, g) == 12
-        assert substitute(good, g).lead_coeff().degree() >= 1
-        assert substitute(bad, g).lead_coeff().is_constant()
+        assert substitute(good, g).leading().deg(1) >= 1
+        assert substitute(bad, g).leading().deg(1) == 0
 
     _criterion(capsys, "1 worked-key-form-chain", body)
 

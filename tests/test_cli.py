@@ -251,3 +251,27 @@ def test_module_entry_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["contractible"] is True
+
+
+def test_importing_the_main_module_runs_nothing():
+    # tools that walk a package import every module, __main__ included
+    proc = _run_pinned([sys.executable, "-c", "import germcontract.__main__"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_chain_trace_script_smoke():
+    proc = _run_pinned(
+        [sys.executable, str(SCRIPTS / "chain_trace.py"), "--series", "u^(3/5) + u^2", "--r", "8"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "essential chain: x; y; y^5 - 5*x^(-1)*y^4 - x^2" in proc.stdout
+
+
+def test_classification_census_script_check():
+    proc = _run_pinned([sys.executable, str(SCRIPTS / "classification_census.py"), "--check"])
+    assert proc.returncode == 0, proc.stderr
+    assert "closed-form check: 0 mismatches" in proc.stdout

@@ -11,7 +11,7 @@ from oracles import alpha_oracle, semigroup_member_bruteforce
 from germcontract import (
     CharacteristicData,
     Classification,
-    LaurentPolyXY,
+    Poly,
     Orientation,
     PreconditionError,
     PuiseuxPoly,
@@ -289,7 +289,7 @@ def test_pipeline_r0_weights():
     rep = is_algebraic(parse_puiseux("u^(3/5)"), 0)
     assert rep.algebraic
     assert rep.wp_weights == (1, 5, 2)
-    assert rep.witness_curve == LaurentPolyXY.y()
+    assert rep.witness_curve == Poly.monomial(("x", "y"), (0, 1))
 
 
 def test_pipeline_short_circuits_when_not_contractible():
@@ -332,7 +332,7 @@ def test_single_pair_weierstrass_plain():
 
 
 def test_single_pair_weierstrass_perturbed():
-    u, v = LaurentPolyXY.x(), LaurentPolyXY.y()
+    u, v = parse_poly("x"), parse_poly("y")
     f = (v - u**2) ** 5 - u**3
     # surviving part v^5 - u^3 - 5u^2v^4 has total degree 6 > 5
     assert single_pair_test(f, 5, 3, 8) is False
@@ -341,7 +341,7 @@ def test_single_pair_weierstrass_perturbed():
 
 
 def test_single_pair_test_validation():
-    u, v = LaurentPolyXY.x(), LaurentPolyXY.y()
+    u, v = parse_poly("x"), parse_poly("y")
     f = v**5 - u**3
     with pytest.raises(PreconditionError):
         single_pair_test(f, 5, 10, 0)  # not coprime

@@ -1,8 +1,11 @@
 """Weighted dual graphs: construction, Grauert check, exports."""
 
+import random
 from math import gcd
 
 import pytest
+
+from oracles import dual_graph_oracle
 
 from germcontract import (
     DualGraph,
@@ -105,6 +108,40 @@ def test_vertex_count_is_euclid_quotient_sum():
             assert len(g.vertices) == quotient_sum(q, p) + r
 
 
+def _seeded_multi_pair_germs(count: int, seed: int):
+    """Two- and three-pair local pairs with polydromy <= 12, and small r."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        npairs = rng.choice((2, 2, 3))
+        p1 = rng.choice((2, 3) if npairs == 3 else (2, 3, 4, 5, 6))
+        pairs = [(rng.choice([q for q in range(1, p1) if gcd(q, p1) == 1]), p1)]
+        cum = p1
+        for _ in range(npairs - 1):
+            p_k = 2 if npairs == 3 else rng.choice([p for p in (2, 3) if cum * p <= 12])
+            cum *= p_k
+            lo = pairs[-1][0] * p_k  # exponents must keep increasing
+            qs = [q for q in range(lo + 1, lo + 2 * p_k) if gcd(q, p_k) == 1]
+            pairs.append((rng.choice(qs), p_k))
+        yield pairs, rng.randint(0, 4 if npairs == 2 else 3)
+
+
+def test_graph_matches_the_blow_up_simulation():
+    """The Euclid-order construction against the chart-by-chart simulation
+    on an exact parametrization."""
+    single = [
+        ([(q, p)], r)
+        for p in range(2, 14)
+        for q in range(1, p)
+        if gcd(q, p) == 1
+        for r in (0, 1, 3, 9)
+    ]
+    cases = single + list(_seeded_multi_pair_germs(150, 20261018))
+    assert len(single) == 228
+    for pairs, r in cases:
+        labels, weights, edges, attach = dual_graph_oracle(pairs, r)
+        assert shape(build_dual_graph(pairs, r)) == (labels, weights, edges, attach), (pairs, r)
+
+
 def test_intersection_matrix_entries():
     g = build_dual_graph([(3, 5)], 1)
     M = intersection_matrix(g)
@@ -180,6 +217,10 @@ def test_builder_preconditions():
         build_dual_graph([(3, 5)], -1)
     with pytest.raises(PreconditionError):
         build_dual_graph([(7, 5)], 0)  # order >= 1
+    with pytest.raises(PreconditionError):
+        build_dual_graph([(3, 5), (1, 2)], 0)  # exponents must increase
+    with pytest.raises(PreconditionError):
+        build_dual_graph([(-3, 5)], 0)  # q must be >= 1
 
 
 def test_two_components_exactly_at_r0():

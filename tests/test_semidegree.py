@@ -6,13 +6,11 @@ import pytest
 
 from germcontract import (
     GenericDPS,
-    LaurentPolyXY,
     Orientation,
+    Poly,
     PreconditionError,
     PuiseuxPoly,
     SeriesParseError,
-    XiPoly,
-    XiSeries,
     generic_dps_from_curve,
     parse_poly,
     parse_puiseux,
@@ -21,6 +19,8 @@ from germcontract import (
 )
 
 F = Fraction
+XY = ("x", "y")
+XI = ("x", "xi")
 
 SIX_TERM = "x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)"
 
@@ -29,39 +29,37 @@ def six_term_series():
     return parse_puiseux(SIX_TERM)
 
 
-# --- coefficient polynomials and xi-series --------------------------------
+# --- xi-series: polynomials keyed (x-exponent, xi-degree) ------------------
 
 
 def test_xipoly_arithmetic():
-    one_plus_xi = XiPoly.const(1) + XiPoly.xi()
+    one_plus_xi = Poly(XI, {(0, 0): 1, (0, 1): 1})
     sq = one_plus_xi * one_plus_xi
-    assert sq.coeffs == (F(1), F(2), F(1))
-    assert sq.degree() == 2
+    assert sq == Poly(XI, {(0, 0): F(1), (0, 1): F(2), (0, 2): F(1)})
+    assert sq.deg(1) == 2
     assert (sq - sq).is_zero()
-    assert XiPoly.const(F(5, 2)).constant_value() == F(5, 2)
-    with pytest.raises(ValueError):
-        XiPoly.xi().constant_value()
+    assert Poly(XI, {(0, 0): F(5, 2)}).coeff((0, 0)) == F(5, 2)
 
 
 def test_xipoly_drops_leading_zeros():
-    p = XiPoly((1, 2)) - XiPoly((0, 2))
-    assert p.coeffs == (F(1),)
-    assert p.is_constant()
+    p = Poly(XI, {(0, 0): 1, (0, 1): 2}) - Poly(XI, {(0, 1): 2})
+    assert p == Poly(XI, {(0, 0): F(1)})
+    assert p.deg(1) == 0
 
 
 def test_xiseries_degree_and_lead():
-    s = XiSeries({F(1, 2): XiPoly.const(3), F(-2): XiPoly.xi()})
+    s = Poly(XI, {(F(1, 2), 0): 3, (F(-2), 1): 1})
     assert s.deg() == F(1, 2)
-    assert s.lead_coeff() == XiPoly.const(3)
+    assert s.leading() == Poly(XI, {(F(1, 2), 0): 3})
     assert (s - s).is_zero()
     with pytest.raises(PreconditionError):
-        XiSeries.zero().deg()
+        Poly(XI).deg()
 
 
 def test_xiseries_pow_matches_repeated_product():
-    s = XiSeries({F(2, 5): XiPoly.const(1), F(-6, 5): XiPoly.xi()})
+    s = Poly(XI, {(F(2, 5), 0): 1, (F(-6, 5), 1): 1})
     assert s**3 == s * s * s
-    assert s**0 == XiSeries.one()
+    assert s**0 == Poly(XI, {(0, 0): 1})
     with pytest.raises(ValueError):
         s ** (-1)
 
@@ -70,25 +68,29 @@ def test_xiseries_pow_matches_repeated_product():
 
 
 def test_laurent_basic_queries():
+    y = Poly.monomial(XY, (0, 1))
     f = parse_poly("y^5 - x^2")
-    assert f.deg_y() == 5
-    assert f.is_monic_in_y()
-    assert f.min_x_exponent() == 0
+    assert f.deg(1) == 5
+    assert f.leading(1) == y**5
+    assert f.ord() == 0
     g = parse_poly("y^5 - 5*x^(-1)*y^4 - x^2")
-    assert g.min_x_exponent() == -1
-    assert not parse_poly("2*y^3 - x").is_monic_in_y()
-    assert not parse_poly("x*y^3 + y^3 - x").is_monic_in_y()
-    assert LaurentPolyXY.zero().min_x_exponent() is None
-    assert LaurentPolyXY.zero().deg_y() == 0
+    assert g.ord() == -1
+    assert parse_poly("2*y^3 - x").leading(1) != y**3
+    assert parse_poly("x*y^3 + y^3 - x").leading(1) != y**3
+    # the zero polynomial has no degree and no order in any variable
+    with pytest.raises(PreconditionError):
+        Poly(XY).ord()
+    with pytest.raises(PreconditionError):
+        Poly(XY).deg(1)
 
 
 def test_laurent_arithmetic_and_pow():
-    x, y = LaurentPolyXY.x(), LaurentPolyXY.y()
+    x, y = Poly.monomial(XY, (1, 0)), Poly.monomial(XY, (0, 1))
     f = (y - x * x) ** 5 - x**3
-    assert f.coeff(2, 4) == -5
-    assert f.coeff(10, 0) == -1
-    assert f.coeff(3, 0) == -1
-    assert f.deg_y() == 5
+    assert f.coeff((2, 4)) == -5
+    assert f.coeff((10, 0)) == -1
+    assert f.coeff((3, 0)) == -1
+    assert f.deg(1) == 5
     assert (f - f).is_zero()
     with pytest.raises(ValueError):
         y ** (-2)
@@ -96,7 +98,7 @@ def test_laurent_arithmetic_and_pow():
 
 def test_laurent_rejects_negative_y():
     with pytest.raises(ValueError):
-        LaurentPolyXY({(0, -1): F(1)})
+        Poly(XY, {(0, -1): F(1)})
 
 
 def test_laurent_format_round_trip():
@@ -104,7 +106,7 @@ def test_laurent_format_round_trip():
         f = parse_poly(text)
         assert f.format() == text
         assert parse_poly(f.format()) == f
-    assert LaurentPolyXY.zero().format() == "0"
+    assert Poly(XY).format() == "0"
 
 
 def test_parse_poly_accumulates_repeats():
@@ -192,8 +194,9 @@ def test_truncation_moves_the_generic_position():
 def test_xiseries_of_generic_dps_has_the_xi_term():
     g = generic_dps_from_curve(parse_puiseux("x^(2/5) + x^(-1)"), 8)
     s = g.xiseries()
-    assert s.coeff(F(-6, 5)) == XiPoly.xi()
-    assert s.coeff(F(2, 5)) == XiPoly.const(1)
+    assert s.leading(1) == Poly(XI, {(F(-6, 5), 1): 1})
+    assert s.coeff((F(-6, 5), 0)) == 0
+    assert s.coeff((F(2, 5), 0)) == 1
 
 
 # --- substitution and the semidegree --------------------------------------
@@ -209,8 +212,8 @@ def test_substitute_is_a_ring_homomorphism():
 
 def test_semidegree_of_coordinates():
     g = generic_dps_from_curve(six_term_series(), 3)
-    assert semidegree_eval(LaurentPolyXY.x(), g) == 6
-    assert semidegree_eval(LaurentPolyXY.y(), g) == 18  # 6 * deg = 6 * 3
+    assert semidegree_eval(Poly.monomial(XY, (1, 0)), g) == 6
+    assert semidegree_eval(Poly.monomial(XY, (0, 1)), g) == 18  # 6 * deg = 6 * 3
     assert semidegree_eval(parse_poly("x^(-1)"), g) == -6
 
 
@@ -224,4 +227,4 @@ def test_semidegree_drops_on_the_initial_form():
 def test_semidegree_of_zero_is_undefined():
     g = generic_dps_from_curve(six_term_series(), 0)
     with pytest.raises(PreconditionError):
-        semidegree_eval(LaurentPolyXY.zero(), g)
+        semidegree_eval(Poly(XY), g)
