@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Trace the key-form chain of one germ, level by level.
 
-Prints every form of the full chain with its substituted series degree,
-the integer pole order, and whether the essential subsequence keeps it;
-then the verdict of the decision pipeline.  Useful when a chain does
-something surprising and the one-line CLI answer is not enough.
+Prints every form of the full chain with its pole order (the degree of
+the substituted series, which is keyed by semidegrees) and whether the
+essential subsequence keeps it; then the verdict of the decision pipeline.
+Useful when a chain does something surprising and the one-line CLI answer
+is not enough.
 
 Example:
     python3 scripts/chain_trace.py --series "u^(3/5) + u^2" --r 8
@@ -22,7 +23,6 @@ from germcontract import (
     local_to_degreewise,
     parse_puiseux,
     semidegree_eval,
-    substitute,
 )
 
 
@@ -43,16 +43,12 @@ def main(argv=None):
     print()
 
     for j, f in enumerate(keys.all_forms):
-        sub = substitute(f, g)
         tags = []
         tags.append("essential" if f in keys.forms else "absorbed")
         if not is_polynomial(f):
             tags.append("negative x-power")
         print(f"g_{j} = {f.format()}")
-        print(
-            f"      substituted degree {sub.deg()},"
-            f" pole order {semidegree_eval(f, g)}  [{', '.join(tags)}]"
-        )
+        print(f"      pole order {semidegree_eval(f, g)}  [{', '.join(tags)}]")
     print()
     print("essential chain: " + "; ".join(f.format() for f in keys.forms))
     print("pole orders: " + ", ".join(str(w) for w in keys.omegas))

@@ -25,6 +25,7 @@ from .puiseux import (
     CharacteristicData,
     Orientation,
     PuiseuxPoly,
+    check_r,
     local_pair_data,
     local_to_degreewise,
     puiseux_pairs,
@@ -33,33 +34,18 @@ from .poly import Poly
 from .semidegree import generic_dps_from_curve
 
 
-def _check_r(r) -> int:
-    if not isinstance(r, int) or r < 0:
-        raise PreconditionError(f"r = {r!r} must be a non-negative integer")
-    return r
-
-
 def alpha_invariant(local_pairs, r: int) -> int:
     """Intersection multiplicity of the germ with a generic curve through
     the r-th extra infinitely near point; for a single pair (q, p) this is
     p*q + r."""
     data = local_pair_data(local_pairs)
-    _check_r(r)
-    if not data.pairs:
-        raise PreconditionError("need at least one characteristic pair")
-    exps = data.char_exponents()
-    total = Fraction(0)
+    check_r(r)
+    total = 0
     tail = 1  # product of p_j for j > k, built from the right
-    for k in range(len(data.pairs) - 1, -1, -1):
-        p_k = data.pairs[k][1]
-        total += (p_k - 1) * tail * exps[k]
+    for (_, p_k), beta in zip(reversed(data.pairs), reversed(data.betas())):
+        total += (p_k - 1) * tail * beta
         tail *= p_k
-    alpha = data.polydromy * total + data.pairs[-1][0] + r
-    if alpha.denominator != 1:
-        raise InvariantViolationError(
-            "alpha is not an integer", alpha=alpha, pairs=data.pairs, r=r
-        )
-    return int(alpha)
+    return total + data.pairs[-1][0] + r
 
 
 def is_contractible(local_pairs, r: int) -> bool:
@@ -67,9 +53,7 @@ def is_contractible(local_pairs, r: int) -> bool:
     analytically: the germ has order < 1 (first pair has q < p) and
     alpha < p^2."""
     data = local_pair_data(local_pairs)
-    _check_r(r)
-    if not data.pairs:
-        raise PreconditionError("need at least one characteristic pair")
+    check_r(r)
     q1, p1 = data.pairs[0]
     if q1 >= p1:
         return False
@@ -77,23 +61,13 @@ def is_contractible(local_pairs, r: int) -> bool:
 
 
 def _tilde_omegas(data: CharacteristicData) -> tuple[int, ...]:
-    """Semigroup generators (w~_0 .. w~_lt): w~_0 is the polydromy and w~_k
-    collects the weighted lower characteristic exponents up to level k."""
-    exps = data.char_exponents()
-    out = [data.polydromy]
-    for k in range(1, len(data.pairs) + 1):
-        total = exps[k - 1]
-        tail = 1  # product of p_i for j < i <= k-1
-        for j in range(k - 1, 0, -1):
-            p_j = data.pairs[j - 1][1]
-            total += (p_j - 1) * tail * exps[j - 1]
-            tail *= p_j
-        val = data.polydromy * total
-        if val.denominator != 1:
-            raise InvariantViolationError(
-                "semigroup generator is not an integer", k=k, value=val, pairs=data.pairs
-            )
-        out.append(int(val))
+    """Semigroup generators (w~_0 .. w~_lt): w~_0 is the polydromy, w~_1 is
+    beta_1 and w~_(k+1) = p_k * w~_k + beta_(k+1) - beta_k (Zariski's
+    recurrence over the scaled characteristic exponents beta_k)."""
+    betas = data.betas()
+    out = [data.polydromy, betas[0]]
+    for (_, p_k), beta, beta_next in zip(data.pairs, betas, betas[1:]):
+        out.append(p_k * out[-1] + beta_next - beta)
     return tuple(out)
 
 
@@ -130,9 +104,7 @@ def virtual_poles(local_pairs, r: int) -> VirtualPoles:
     essential key forms of any curve having these pairs.
     """
     data = local_pair_data(local_pairs)
-    _check_r(r)
-    if not data.pairs:
-        raise PreconditionError("need at least one characteristic pair")
+    check_r(r)
     ps = [p for _, p in data.pairs]
     lt = len(ps)
     p = data.polydromy
@@ -390,7 +362,7 @@ def single_pair_test(f: Poly, p: int, q_tilde: int, r: int) -> bool:
     weight >= p*q_tilde + r; the contraction is algebraic iff what is left
     (possibly nothing) has total degree at most p.
     """
-    _check_r(r)
+    check_r(r)
     if p < 2 or q_tilde < 1 or gcd(p, q_tilde) != 1:
         raise PreconditionError("need p >= 2 and q_tilde >= 1 coprime")
     if f.is_zero() or f.leading(1) != Poly.monomial(f.names, (0, p)):
@@ -411,7 +383,7 @@ def single_pair_closed_form(q: int, p: int, r: int) -> dict:
     iff additionally r > 2p - q."""
     if p < 1 or q < 1 or gcd(p, q) != 1:
         raise PreconditionError("need p, q >= 1 coprime")
-    _check_r(r)
+    check_r(r)
     contractible = r < p * (p - q)
     return {
         "contractible": contractible,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolationError, PreconditionError
-from .puiseux import local_pair_data
+from .puiseux import check_r, local_pair_data
 
 
 @dataclass(frozen=True)
@@ -73,20 +73,16 @@ def build_dual_graph(local_pairs, r: int) -> DualGraph:
     along the strict transform, drop the last exceptional curve and return
     the weighted dual graph of the rest."""
     data = local_pair_data(local_pairs)
-    if not data.pairs:
-        raise PreconditionError("need at least one characteristic pair")
-    if not isinstance(r, int) or r < 0:
-        raise PreconditionError(f"r = {r!r} must be a non-negative integer")
+    check_r(r)
     q1, p1 = data.pairs[0]
     if q1 >= p1:
         raise PreconditionError(
             "the germ must have order < 1 (tangent to the line)"
         )
 
-    p = data.polydromy
-    betas = [q * (p // c) for (q, _), c in zip(data.pairs, data.cumulative_p())]
+    betas = data.betas()
     gaps = iter([b - a for a, b in zip(betas, betas[1:])])
-    oa, ob = p, betas[0]  # ob is None once b vanishes on the branch
+    oa, ob = data.polydromy, betas[0]  # ob is None once b vanishes on the branch
 
     weights = {"Ltilde": 1}  # a line in the plane starts at +1
     order = ["Ltilde"]

@@ -3,12 +3,13 @@
 The engine runs the inductive construction: f_0 = x, f_1 = y minus the
 integer-exponent head of the series, and for each formal pair a power of the
 previous form is corrected monomial by monomial ("absorption") until its
-substituted degree drops to the next pole position.  The corrections are
-recorded in lifted coordinates y_1..y_k (one variable per form), so each step
-also returns the lift F_{k+1} in Q[x, x^-1, y_1..y_k] with
-f_{k+1} = F_{k+1}(x, f_1, ..., f_k).
+substituted degree drops to the next pole position.  Substituted series are
+keyed by semidegrees (see semidegree), so every degree read here is already
+an integer pole value.  The corrections are recorded in lifted coordinates
+y_1..y_k (one variable per form), so each step also returns the lift F_{k+1}
+in Q[x, x^-1, y_1..y_k] with f_{k+1} = F_{k+1}(x, f_1, ..., f_k).
 
-The absorbed exponents live in the lattice (1/(p_1..p_k))Z while k is not
+The absorbed semidegrees are multiples of delta_x/(p_1..p_k) while k is not
 final, and carry xi-free coefficients; both facts are enforced at runtime and
 raised as invariant violations with a state dump if they ever fail, since the
 decomposition of the target weight over (omega_0..omega_k) with bounded
@@ -23,7 +24,7 @@ from math import gcd
 
 from .errors import InvariantViolationError, PreconditionError
 from .poly import Poly
-from .semidegree import XI, XY, GenericDPS, substitute
+from .semidegree import XY, GenericDPS, substitute
 
 
 @dataclass(frozen=True)
@@ -131,12 +132,6 @@ def essential_key_forms(g: GenericDPS, want_all: bool = False) -> EssentialKeyFo
     delta_x = g.delta_x
     l = g.l
 
-    def to_pole(e: Fraction) -> int:
-        v = delta_x * e
-        if v.denominator != 1:
-            raise InvariantViolationError("non-integral pole value", value=v)
-        return int(v)
-
     x = Poly.monomial(XY, (1, 0))
     forms: list[Poly] = [x]
     chain: list[Poly] = [x]
@@ -155,8 +150,8 @@ def essential_key_forms(g: GenericDPS, want_all: bool = False) -> EssentialKeyFo
         Poly(_lift_names(1), {(0, 1): 1, **{(int(e), 0): -c for e, c in head}})
     ]
 
-    subs: list[Poly] = [Poly.monomial(XI, (Fraction(1), 0)), substitute(f1, g)]
-    omegas: list[int] = [delta_x, to_pole(subs[1].deg())]
+    subs: list[Poly] = [substitute(x, g), substitute(f1, g)]
+    omegas: list[int] = [delta_x, subs[1].deg()]
 
     for k in range(1, l + 1):
         p_k = pairs[k - 1][1]
@@ -165,7 +160,7 @@ def essential_key_forms(g: GenericDPS, want_all: bool = False) -> EssentialKeyFo
         s = subs[k] ** p_k
         w_stop = _stopping_exponent(s, k, l, cum)
         pow_cache: dict[tuple[int, int], Poly] = {}
-        last_deg: Fraction | None = None
+        last_deg: int | None = None
         absorbed = 0
         while True:
             d = s.deg()
@@ -191,9 +186,7 @@ def essential_key_forms(g: GenericDPS, want_all: bool = False) -> EssentialKeyFo
                 s, "xi-dependent coefficient above the stopping exponent",
                 k=k, degree=d, stopping=w_stop,
             )
-            a0, betas = _decompose_weight(
-                to_pole(d), omegas[: k + 1], [p for _, p in pairs[:k]]
-            )
+            a0, betas = _decompose_weight(d, omegas[: k + 1], [p for _, p in pairs[:k]])
             key = (a0, *betas)
             # x^a0 * f_1^b_1 ... f_k^b_k substituted, then scaled to cancel the top term
             correction = Poly.monomial(names, key).evaluate(subs, pow_cache)
@@ -210,7 +203,7 @@ def essential_key_forms(g: GenericDPS, want_all: bool = False) -> EssentialKeyFo
         lifts.append(lift)
         forms.append(chain[-1] if want_all else lift.evaluate(forms))
         subs.append(s)
-        omegas.append(to_pole(w_stop))
+        omegas.append(w_stop)
 
     result = EssentialKeyForms(
         source=g,
@@ -238,16 +231,16 @@ def _xi_free_lead(s: Poly, message: str, **state) -> Fraction:
     return c
 
 
-def _stopping_exponent(s: Poly, k: int, l: int, cum) -> Fraction:
+def _stopping_exponent(s: Poly, k: int, l: int, cum) -> int:
     """Next pole position, read off the freshly raised power.
 
-    Below the final level: the largest exponent outside the lattice
-    (1/(p_1..p_k))Z.  At the final level: the largest exponent whose
-    coefficient actually involves xi.
+    Below the final level: the largest semidegree that is not a multiple of
+    delta_x/(p_1..p_k) (delta_x = cum[-1]).  At the final level: the largest
+    semidegree whose coefficient actually involves xi.
     """
     if k < l:
-        lat = cum[k - 1]
-        cand = [e for e, _ in s.terms if (e * lat).denominator != 1]
+        step = cum[-1] // cum[k - 1]
+        cand = [e for e, _ in s.terms if e % step]
         what = "exponent outside the current lattice"
     else:
         cand = [e for e, d in s.terms if d >= 1]

@@ -3,9 +3,10 @@
 One class carries every polynomial of the package.  A key form or a witness
 curve lives in Q[x, x^-1, y] and is keyed (x, y); the lift of a key form
 lives in Q[x, x^-1, y_1, ..., y_k] and is keyed (x, y_1, ..., y_k); a generic
-series substituted into a form is keyed (x, xi) with a rational x-exponent
-and the degree of the free coefficient xi.  The first exponent may be
-negative (or rational); every later one is a non-negative integer.
+series substituted into a form is keyed (x, xi) by the semidegree (delta_x
+times the rational x-exponent) and the degree of the free coefficient xi.
+Exponents are integers; the first may be negative, every later one is
+non-negative.
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def deg(self, i: int = 0) -> Fraction | int:
+    def deg(self, i: int = 0) -> int:
         """Largest exponent of variable i."""
         if not self.terms:
             raise PreconditionError("deg of the zero polynomial is undefined")
         return max(key[i] for key in self.terms)
 
-    def ord(self, i: int = 0) -> Fraction | int:
+    def ord(self, i: int = 0) -> int:
         """Smallest exponent of variable i."""
         if not self.terms:
             raise PreconditionError("ord of the zero polynomial is undefined")
@@ -119,15 +120,17 @@ class Poly:
         return result
 
     def evaluate(self, images, cache: dict | None = None) -> "Poly":
-        """self(x, images[1], ..., images[n-1]) in the ring of the images.
+        """self(images[0], images[1], ..., images[n-1]) in the ring of the
+        images.
 
-        images[0] is x of that ring and stands for the first variable, which
-        keeps its exponent (so x^-1 stays a monomial).  cache maps (j, m) to
-        images[j]**m; pass the same dict to calls with the same images to
-        share the powers between them.
+        images[0] is a monomial m; x^a maps to m^a, also for negative a (so
+        x^-1 stays a monomial).  cache maps (j, m) to images[j]**m; pass the
+        same dict to calls with the same images to share the powers between
+        them.
         """
         cache = {} if cache is None else cache
         names = images[0].names
+        ((m, cm),) = images[0].terms.items()
         one = {(0,) * len(names): Fraction(1)}
         out: dict[tuple, Fraction] = {}
         for key, c in self.terms.items():
@@ -137,8 +140,10 @@ class Poly:
                     pw = _power(images, j, key[j], cache)
                     prod = pw if prod is None else prod * pw
             a = key[0]
+            shift = tuple(a * e for e in m)
+            c = c * cm**a
             for k, v in (one if prod is None else prod.terms).items():
-                k = (k[0] + a,) + k[1:]
+                k = tuple(e + s for e, s in zip(k, shift))
                 w = out.get(k)
                 out[k] = c * v if w is None else w + c * v
         return Poly._make(names, {k: c for k, c in out.items() if c})

@@ -186,16 +186,30 @@ class CharacteristicData:
             Fraction(q, cp) for (q, _), cp in zip(self.pairs, self.cumulative_p())
         )
 
+    def betas(self) -> tuple[int, ...]:
+        """The scaled characteristic exponents beta_k = q_k * p / (p_1..p_k),
+        i.e. the polydromy times char_exponents()."""
+        p = self.polydromy
+        return tuple(q * (p // cp) for (q, _), cp in zip(self.pairs, self.cumulative_p()))
+
+
+def check_r(r) -> None:
+    """Reject r, the number of extra blow-ups, unless it is a non-negative int."""
+    if not isinstance(r, int) or r < 0:
+        raise PreconditionError(f"r = {r!r} must be a non-negative integer")
+
 
 def local_pair_data(local_pairs) -> CharacteristicData:
     """The pairs as CharacteristicData (passed through if they already are),
-    checked on the local side: positive q_k and strictly increasing
-    exponents q_k/(p_1..p_k)."""
+    checked on the local side: at least one pair, positive q_k and strictly
+    increasing exponents q_k/(p_1..p_k)."""
     data = (
         local_pairs
         if isinstance(local_pairs, CharacteristicData)
         else CharacteristicData.from_pairs(local_pairs)
     )
+    if not data.pairs:
+        raise PreconditionError("need at least one characteristic pair")
     exps = data.char_exponents()
     for k, ((q, _), e) in enumerate(zip(data.pairs, exps)):
         if q < 1:

@@ -3,10 +3,10 @@
 A GenericDPS is a finite degree-wise series phi plus one formal tail term
 xi * x^r_delta whose coefficient xi is a free parameter sitting strictly
 below every exponent of phi.  Substituting it for y in a Laurent polynomial
-f(x, y) produces a finite sum of terms c * x^e * xi^d (a Poly keyed
-(e, d)); the semidegree of f is delta_x times the largest exponent e
-carrying a nonzero term, where delta_x is the lattice denominator of the
-generic series (product of its formal pair p's).
+f(x, y) produces a finite sum of terms c * x^e * xi^d.  Its Poly is keyed
+(delta_x * e, d), where delta_x is the lattice denominator of the generic
+series (product of its formal pair p's), so every key is an integer and the
+semidegree of f is the largest first key carrying a nonzero term.
 
 The formal pairs of a GenericDPS extend the characteristic pairs of phi by
 the pair of r_delta relative to phi's lattice; for series derived from a
@@ -24,6 +24,7 @@ from .puiseux import (
     CharacteristicData,
     Orientation,
     PuiseuxPoly,
+    check_r,
     cumulative_products,
     parse_terms,
     puiseux_pairs,
@@ -107,10 +108,14 @@ class GenericDPS:
         )
 
     def xiseries(self) -> Poly:
-        """phi + xi*x^r_delta keyed (x-exponent, xi-degree)."""
-        out = {(e, 0): c for e, c in self.phi.terms.items()}
-        out[(self.r_delta, 1)] = Fraction(1)
-        return Poly(XI, out)
+        """phi + xi*x^r_delta keyed (delta_x * x-exponent, xi-degree)."""
+        out = {(self.delta_x * e, 0): c for e, c in self.phi.terms.items()}
+        out[(self.delta_x * self.r_delta, 1)] = Fraction(1)
+        if any(a.denominator != 1 for a, _ in out):
+            raise InvariantViolationError(
+                "semidegree exponent is not an integer", delta_x=self.delta_x, g=self
+            )
+        return Poly(XI, {(int(a), d): c for (a, d), c in out.items()})
 
     def truncated(self, k: int) -> "GenericDPS":
         """The k-th truncation: keep the terms of phi strictly above the k-th
@@ -142,8 +147,7 @@ def generic_dps_from_curve(psi: PuiseuxPoly, r: int) -> GenericDPS:
     """
     if psi.orientation is not Orientation.DEGREEWISE:
         raise PreconditionError("expected a degree-wise series")
-    if not isinstance(r, int) or r < 0:
-        raise PreconditionError("r must be a non-negative integer")
+    check_r(r)
     data = puiseux_pairs(psi)
     if not data.pairs:
         raise PreconditionError(
@@ -155,12 +159,13 @@ def generic_dps_from_curve(psi: PuiseuxPoly, r: int) -> GenericDPS:
 
 
 def substitute(f: Poly, g: GenericDPS) -> Poly:
-    """f(x, g) keyed (x-exponent, xi-degree).  Ring homomorphism in f."""
-    return f.evaluate((Poly.monomial(XI, (Fraction(1), 0)), g.xiseries()))
+    """f(x, g) keyed (delta_x * x-exponent, xi-degree).  Ring homomorphism
+    in f."""
+    return f.evaluate((Poly.monomial(XI, (g.delta_x, 0)), g.xiseries()))
 
 
 def semidegree_eval(f: Poly, g: GenericDPS) -> int:
-    """delta_x * deg_x(f(x, g)); an integer for every nonzero f."""
+    """delta_x * deg_x(f(x, g)): the degree of the substituted series."""
     if f.is_zero():
         raise PreconditionError("semidegree of the zero polynomial is undefined")
     s = substitute(f, g)
@@ -168,7 +173,4 @@ def semidegree_eval(f: Poly, g: GenericDPS) -> int:
         raise InvariantViolationError(
             "substitution of a nonzero polynomial vanished", f=f, g=g
         )
-    val = g.delta_x * s.deg()
-    if val.denominator != 1:
-        raise InvariantViolationError("semidegree is not an integer", value=val, f=f, g=g)
-    return int(val)
+    return s.deg()

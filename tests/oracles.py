@@ -14,6 +14,8 @@ quantity from first principles by a different route than the library:
 * ``dual_graph_oracle`` -- the weighted dual graph by simulating the blow-ups
   on an exact parametrization: the branch is followed through the charts as
   a pair of rational functions in t.
+* ``tilde_omegas_oracle`` -- the semigroup generators w~_k as the weighted
+  sum of the lower characteristic exponents, in Fractions, one sum per level.
 
 Run as a script to print the frozen values used in the deterministic tests.
 """
@@ -238,6 +240,30 @@ def dual_graph_oracle(pairs: list[tuple[int, int]], r: int):
         sorted(tuple(sorted((index[x], index[y]))) for x, y in remaining)
     )
     return order, [weights[lab] for lab in order], edge_idx, tuple(attach)
+
+
+def tilde_omegas_oracle(pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """(w~_0, ..., w~_lt) with w~_0 = p and
+    w~_k = p * (e_k + sum_{j<k} (p_j - 1) * p_(j+1)..p_(k-1) * e_j),
+    e_j = q_j/(p_1..p_j) the characteristic exponents."""
+    _check_local_pairs(pairs)
+    exps = []
+    p = 1
+    for q, pk in pairs:
+        p *= pk
+        exps.append(Fraction(q, p))
+    out = [p]
+    for k in range(1, len(pairs) + 1):
+        total = exps[k - 1]
+        tail = 1  # product of p_i for j < i <= k-1
+        for j in range(k - 1, 0, -1):
+            p_j = pairs[j - 1][1]
+            total += (p_j - 1) * tail * exps[j - 1]
+            tail *= p_j
+        val = p * total
+        assert val.denominator == 1
+        out.append(int(val))
+    return tuple(out)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from oracles import alpha_oracle, semigroup_member_bruteforce
+from oracles import alpha_oracle, semigroup_member_bruteforce, tilde_omegas_oracle
 
 from germcontract import (
     CharacteristicData,
@@ -75,10 +75,14 @@ def test_alpha_equals_last_semigroup_generator_scaled():
 
 
 def test_alpha_input_validation():
-    with pytest.raises(PreconditionError):
-        alpha_invariant([], 0)
-    with pytest.raises(PreconditionError):
-        alpha_invariant([(3, 5)], -1)
+    # one pairs rule and one r rule, shared by every entry point on pairs
+    for entry in (
+        alpha_invariant, is_contractible, virtual_poles, semigroup_conditions, witness_curves
+    ):
+        with pytest.raises(PreconditionError, match="need at least one characteristic pair"):
+            entry([], 0)
+        with pytest.raises(PreconditionError, match="r = -1 must be a non-negative integer"):
+            entry([(3, 5)], -1)
     with pytest.raises(PreconditionError):
         alpha_invariant([(3, 5)], F(1, 2))
     with pytest.raises(PreconditionError):
@@ -144,6 +148,37 @@ def test_poles_are_independent_of_r_up_to_l():
     for r in (1, 3, 7):
         assert virtual_poles([(3, 5)], r).omegas == (5, 2)
         assert virtual_poles(TWO_PAIR, r).omegas == (10, 4, 3)
+
+
+def _seeded_local_pairs(count: int, seed: int):
+    """Two- to four-pair local pairs with p_k in (2, 3) after the first, and
+    small r."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p1 = rng.choice((2, 3, 4, 5))
+        pairs = [(rng.choice([q for q in range(1, 2 * p1) if gcd(q, p1) == 1]), p1)]
+        for _ in range(rng.randint(1, 3)):
+            p_k = rng.choice((2, 3))
+            lo = pairs[-1][0] * p_k  # exponents must keep increasing
+            qs = [q for q in range(lo + 1, lo + 2 * p_k) if gcd(q, p_k) == 1]
+            pairs.append((rng.choice(qs), p_k))
+        yield pairs, rng.randint(0, 5)
+
+
+def test_tilde_omegas_match_the_weighted_exponent_sum():
+    """Zariski's recurrence against the weighted sum of the lower
+    characteristic exponents (tests/oracles.py)."""
+    single = [
+        ([(q, p)], r)
+        for p in range(2, 14)
+        for q in range(1, 2 * p)
+        if gcd(q, p) == 1
+        for r in (0, 3)
+    ]
+    multi = list(_seeded_local_pairs(300, 20261018))
+    assert {len(pairs) for pairs, _ in multi} == {2, 3, 4}
+    for pairs, r in single + multi:
+        assert virtual_poles(pairs, r).tilde_omegas == tilde_omegas_oracle(pairs), pairs
 
 
 # --- semigroup membership -------------------------------------------------
@@ -368,6 +403,8 @@ def test_single_pair_closed_form_values():
         assert single_pair_closed_form(1, 2, r)["nonalgebraic_exists"] is False
     with pytest.raises(PreconditionError):
         single_pair_closed_form(2, 4, 0)
+    with pytest.raises(PreconditionError):
+        single_pair_closed_form(3, 5, -1)
 
 
 def test_single_pair_never_only_nonalgebraic():

@@ -211,9 +211,9 @@ def test_export_rejects_unknown_format():
 
 
 def test_builder_preconditions():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="need at least one characteristic pair"):
         build_dual_graph([], 0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="r = -1 must be a non-negative integer"):
         build_dual_graph([(3, 5)], -1)
     with pytest.raises(PreconditionError):
         build_dual_graph([(7, 5)], 0)  # order >= 1

@@ -113,9 +113,9 @@ def test_worked_constant_term_is_forced(worked):
     # the substituted series must stop on a xi-carrying exponent; the +18x^2
     # variant instead leaves a constant-coefficient term on top
     s_good, s_bad = substitute(good, g), substitute(bad, g)
-    assert s_good.deg() == F(11, 6)
+    assert s_good.deg() == 11
     assert s_good.leading().deg(1) >= 1
-    assert s_bad.deg() == F(2)
+    assert s_bad.deg() == 12
     assert s_bad.leading().deg(1) == 0
 
 

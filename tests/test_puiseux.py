@@ -1,6 +1,7 @@
 """Series parsing/printing, orientation conversion, and the pair walk."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -199,6 +200,16 @@ def test_pairs_integer_series_has_none():
 def test_pairs_of_zero_rejected():
     with pytest.raises(PreconditionError):
         puiseux_pairs(PuiseuxPoly.zero(Orientation.LOCAL))
+
+
+def test_betas_are_the_scaled_char_exponents():
+    grid = [[(q, p)] for p in range(2, 14) for q in range(1, 2 * p) if gcd(q, p) == 1]
+    grid += [[(3, 5), (23, 2)], [(1, 2), (3, 2)], [(5, 3), (-13, 2)], [(1, 2), (3, 2), (7, 2)]]
+    for pairs in grid:
+        data = CharacteristicData.from_pairs(pairs)
+        assert data.betas() == tuple(data.polydromy * e for e in data.char_exponents())
+        assert all(type(b) is int for b in data.betas())
+    assert CharacteristicData.from_pairs([(3, 5), (23, 2)]).betas() == (6, 23)
 
 
 def test_characteristic_data_validation():
