@@ -14,17 +14,22 @@ new exceptional curve to them.  The construction stops once the branch
 meets a single exceptional curve transversally (minimal embedded
 resolution of curve plus tangent line), continues with r further blow-ups
 at the moving intersection point, removes the last exceptional curve E*
-and reports what remains.
+and reports what remains.  The graph is a forest, so Grauert's criterion
+(the intersection form is negative definite) is decided by eliminating one
+leaf at a time, in Fractions, with no dense matrix arithmetic.
 
 The test suite compares this against a simulation of the blow-ups on an
-exact parametrization of the germ (tests/oracles.py).
+exact parametrization of the germ, and the definiteness test against dense
+leading-principal-minor elimination (tests/oracles.py).
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .errors import InvariantViolationError, PreconditionError
 from .puiseux import check_r, local_pair_data
@@ -165,20 +170,70 @@ def intersection_matrix(g: DualGraph) -> list[list[int]]:
 
 
 def is_negative_definite(matrix) -> bool:
-    """Exact sign test: the k-th leading principal minor must have sign
-    (-1)^k for every k."""
+    """Exact test that the symmetric matrix (a list of rows of integers,
+    Fractions or floats) is negative definite; the empty matrix is.
+
+    Symmetric Gaussian elimination that always pivots on a vertex of least
+    remaining degree in the graph of the nonzero off-diagonal entries: the
+    pivot d_v is removed and a_iv*a_vj/d_v is subtracted from each entry
+    a_ij between two of its neighbours, which may create new entries
+    (fill-in) or cancel old ones.  Eliminating in some order is eliminating
+    P^T A P in its natural order for a permutation matrix P, which is
+    negative definite exactly when A is, and whose k-th leading principal
+    minor is the product of the first k pivots.  So by Sylvester's
+    criterion the answer is False at the first pivot d_v >= 0 and True once
+    every vertex is gone, for any symmetric matrix.  Arithmetic is in
+    Fractions throughout.
+
+    The graph of an intersection matrix is a forest, which always has a
+    vertex of degree <= 1: each step removes a leaf and updates one
+    diagonal entry, so past the one O(n^2) read of the dense input the
+    elimination costs n heap operations.  Raises PreconditionError when the
+    matrix is not square or not symmetric.
+    """
     n = len(matrix)
-    a = [[Fraction(v) for v in row] for row in matrix]
-    minor = Fraction(1)
-    for k in range(n):
-        minor *= a[k][k]
-        if minor == 0 or (minor > 0) != (k % 2 == 1):
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise PreconditionError(
+                f"the matrix must be square: row {i} has {len(row)} entries, not {n}"
+            )
+    diag = [Fraction(row[i]) for i, row in enumerate(matrix)]
+    adj: list[dict[int, Fraction]] = [{} for _ in range(n)]  # nonzero a_ij, j != i
+    for i, row in enumerate(matrix):
+        for j in compress(range(n), row):
+            if matrix[j][i] != row[j]:
+                raise PreconditionError(
+                    f"the matrix must be symmetric: entry ({i}, {j}) is "
+                    f"{row[j]} but entry ({j}, {i}) is {matrix[j][i]}"
+                )
+            if j > i:
+                adj[i][j] = adj[j][i] = Fraction(row[j])
+
+    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+    heapq.heapify(heap)
+    gone = [False] * n
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if gone[v] or degree != len(adj[v]):
+            continue  # a stale entry: v is pushed again whenever its degree moves
+        d = diag[v]
+        if d >= 0:
             return False
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
+        gone[v] = True
+        nbrs = list(adj[v].items())
+        for i, _ in nbrs:
+            del adj[i][v]
+        for k, (i, a_iv) in enumerate(nbrs):
+            diag[i] -= a_iv * a_iv / d
+            for j, a_jv in nbrs[k + 1 :]:
+                a_ij = adj[i].get(j, 0) - a_iv * a_jv / d
+                if a_ij:
+                    adj[i][j] = adj[j][i] = a_ij
+                else:
+                    adj[i].pop(j, None)
+                    adj[j].pop(i, None)
+        for i, _ in nbrs:
+            heapq.heappush(heap, (len(adj[i]), i))
     return True
 
 

@@ -16,6 +16,9 @@ quantity from first principles by a different route than the library:
   a pair of rational functions in t.
 * ``tilde_omegas_oracle`` -- the semigroup generators w~_k as the weighted
   sum of the lower characteristic exponents, in Fractions, one sum per level.
+* ``negative_definite_oracle`` -- negative definiteness of a symmetric
+  matrix by dense Gaussian elimination in the natural order, checking the
+  sign of every leading principal minor (Sylvester's criterion), O(n^3).
 
 Run as a script to print the frozen values used in the deterministic tests.
 """
@@ -264,6 +267,24 @@ def tilde_omegas_oracle(pairs: list[tuple[int, int]]) -> tuple[int, ...]:
         assert val.denominator == 1
         out.append(int(val))
     return tuple(out)
+
+
+def negative_definite_oracle(matrix) -> bool:
+    """Exact sign test on a symmetric matrix: the k-th leading principal
+    minor must have sign (-1)^k for every k."""
+    n = len(matrix)
+    a = [[Fraction(v) for v in row] for row in matrix]
+    minor = Fraction(1)
+    for k in range(n):
+        minor *= a[k][k]
+        if minor == 0 or (minor > 0) != (k % 2 == 1):
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            if f:
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    return True
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from oracles import dual_graph_oracle
+from oracles import dual_graph_oracle, negative_definite_oracle
 
 from germcontract import (
     DualGraph,
@@ -152,15 +152,90 @@ def test_intersection_matrix_entries():
 
 
 def test_negative_definite_basics():
+    assert is_negative_definite([])
     assert is_negative_definite([[-1]])
     assert not is_negative_definite([[1]])
     assert not is_negative_definite([[0]])
     assert is_negative_definite([[-2, 1], [1, -2]])
     assert not is_negative_definite([[-1, 1], [1, -1]])  # singular
+    with pytest.raises(
+        PreconditionError, match=r"the matrix must be square: row 1 has 1 entries, not 2"
+    ):
+        is_negative_definite([[-2, 1], [1]])
+    with pytest.raises(
+        PreconditionError, match=r"the matrix must be square: row 0 has 2 entries, not 1"
+    ):
+        is_negative_definite([[-2, 1]])
+    with pytest.raises(
+        PreconditionError,
+        match=r"the matrix must be symmetric: entry \(0, 1\) is 1 but entry \(1, 0\) is 2",
+    ):
+        is_negative_definite([[-5, 1], [2, -5]])
+    with pytest.raises(
+        PreconditionError,
+        match=r"the matrix must be symmetric: entry \(2, 1\) is 3 but entry \(1, 2\) is 0",
+    ):
+        is_negative_definite([[-5, 0, 0], [0, -5, 0], [0, 3, -5]])
+
+
+def _seeded_symmetric_matrices(count: int, seed: int):
+    """Symmetric integer matrices with n <= 9 and dense random off-diagonal
+    entries, so that their graphs have cycles and elimination fills in.
+    Every third one is -(B^T B) - D with D >= 0 diagonal, negative definite
+    when D > 0 and singular when D = 0 and B has fewer rows than columns."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(1, 9)
+        if k % 3 == 0:
+            rows = rng.randint(1, n + 2)
+            b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rows)]
+            shift = rng.choice((0, 1, 1, 2))
+            yield [
+                [
+                    -sum(b[t][i] * b[t][j] for t in range(rows)) - (shift if i == j else 0)
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        else:
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                m[i][i] = rng.randint(-9, 1)
+                for j in range(i + 1, n):
+                    if rng.random() < 0.5:
+                        m[i][j] = m[j][i] = rng.randint(-3, 3)
+            yield m
+
+
+def test_negative_definite_matches_the_dense_oracle():
+    """Least-degree-first elimination against dense leading-principal-minor
+    elimination: intersection matrices of single pairs and of 2-3 pair
+    germs, and random symmetric matrices whose graphs have cycles."""
+    single = [
+        ([(q, p)], r)
+        for p in range(2, 14)
+        for q in range(1, p)
+        if gcd(q, p) == 1
+        for r in (0, 1, 2, 5, 13, 40)
+    ]
+    multi = [
+        (pairs, r + extra)
+        for pairs, r in _seeded_multi_pair_germs(100, 20261019)
+        for extra in (0, 12, 30)
+    ]
+    graphs = [intersection_matrix(build_dual_graph(pairs, r)) for pairs, r in single + multi]
+    matrices = list(_seeded_symmetric_matrices(3000, 20261020))
+    answers = {True: 0, False: 0}
+    for m in graphs + matrices:
+        answer = is_negative_definite(m)
+        assert answer == negative_definite_oracle(m), m
+        answers[answer] += 1
+    assert len(single) == 342
+    assert min(answers.values()) > 500
 
 
 def test_grauert_matches_alpha_criterion():
-    for p in (2, 3, 4, 5):
+    for p in range(2, 14):
         for q in range(1, p):
             if gcd(q, p) != 1:
                 continue
