@@ -3,10 +3,12 @@
 Subcommands: analyze (full report), keyforms, classify, dualgraph,
 singlepair, sweep.  Inputs come from a plain key = value file
 (series = "u^(3/5) + u^2", pairs = [(3,5),(23,2)], r = 8) or the
-equivalent flags.  Exit codes: 0 for any computed verdict, 2 for input
-that cannot be parsed, 3 for violated preconditions (for example a germ
-of order >= 1 where a contraction is requested).  All verdicts come
-straight from the library calls; the frontend only formats.
+equivalent flags.  Exit codes: 0 for any computed verdict, 1 when the
+reader closes standard output before all of it is written (nothing more is
+printed), 2 for input that cannot be parsed or a spec file that cannot be
+read, 3 for violated preconditions (for example a germ of order >= 1 where
+a contraction is requested).  All verdicts come straight from the library
+calls; the frontend only formats.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -43,6 +46,7 @@ from .puiseux import (
 from .semidegree import generic_dps_from_curve, parse_poly
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
@@ -56,27 +60,35 @@ class CurveSpec:
     r: int | None
 
 
+class _UnreadableSpec(Exception):
+    """The spec file could not be read; carries the OSError as its message."""
+
+
 def load_spec_file(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise _UnreadableSpec(exc) from exc
     spec: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            key = key.strip()
-            if not eq or key not in _SPEC_KEYS:
-                raise SeriesParseError(
-                    f"{path}:{lineno}: expected 'key = value' with key one of "
-                    f"{', '.join(_SPEC_KEYS)}",
-                    lineno,
-                )
-            try:
-                spec[key] = ast.literal_eval(value.strip())
-            except (ValueError, SyntaxError) as exc:
-                raise SeriesParseError(
-                    f"{path}:{lineno}: bad value for {key}: {exc}", lineno
-                )
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq or key not in _SPEC_KEYS:
+            raise SeriesParseError(
+                f"{path}:{lineno}: expected 'key = value' with key one of "
+                f"{', '.join(_SPEC_KEYS)}",
+                lineno,
+            )
+        try:
+            spec[key] = ast.literal_eval(value.strip())
+        except (ValueError, SyntaxError) as exc:
+            raise SeriesParseError(
+                f"{path}:{lineno}: bad value for {key}: {exc}", lineno
+            )
     return spec
 
 
@@ -437,10 +449,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SeriesParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (SeriesParseError, _UnreadableSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:
@@ -449,7 +458,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: silence the flush at shutdown and exit 1,
+        # as in the SIGPIPE note of the Python signal module docs
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

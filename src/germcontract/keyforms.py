@@ -14,17 +14,33 @@ final, and carry xi-free coefficients; both facts are enforced at runtime and
 raised as invariant violations with a state dump if they ever fail, since the
 decomposition of the target weight over (omega_0..omega_k) with bounded
 middle coefficients only exists under them.
+
+The absorption reads only the top of each raised power, so substituted series
+are built only that far down.  Each one carries an exactness floor f: its
+terms at or above semidegree f are exact, the ones below it may be missing
+or wrong.  x and f_1 substituted are exact (f = -inf).  A product A*B is
+exact at or above max(f_A + deg B, f_B + deg A); it is formed only at or
+above that bound and deg A + deg B - W, for a window width W, and the larger
+of the two is its floor.  Powers follow the same rule (Poly.power squares
+within it), and a product of exact factors that the window cuts nothing from
+stays exact.  A difference takes the larger floor.  When the stopping
+exponent has no candidate at or above the floor, or a degree or leading
+coefficient the absorption reads lies below it, the run is abandoned and
+redone from level 1 with W doubled; W starts at 16.  Once W spans every
+product nothing is cut, so the engine then is the exact one and the reruns
+end.  W comes from the series alone and never from the closed-form poles, so
+the omegas stay an independent check of virtual_poles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .errors import InvariantViolationError, PreconditionError
 from .poly import Poly
-from .semidegree import XY, GenericDPS, substitute
+from .semidegree import XI, XY, GenericDPS, substitute
 
 
 @dataclass(frozen=True)
@@ -128,44 +144,125 @@ def _integer_head(g: GenericDPS) -> list[tuple[Fraction, Fraction]]:
 def essential_key_forms(g: GenericDPS, want_all: bool = False) -> EssentialKeyForms:
     """Run the full construction on a generic degree-wise series."""
     pairs = g.formal_pairs
-    cum = g.cumulative_p()
-    delta_x = g.delta_x
-    l = g.l
 
     x = Poly.monomial(XY, (1, 0))
-    forms: list[Poly] = [x]
-    chain: list[Poly] = [x]
-
     head = _integer_head(g)
     f1 = Poly.monomial(XY, (0, 1))
-    if want_all:
-        chain.append(f1)
+    chain: list[Poly] = [x, f1]
     for e, c in head:
         f1 = f1 - Poly.monomial(XY, (int(e), 0), c)
-        if want_all:
-            chain.append(f1)
-    forms.append(f1)
+        chain.append(f1)
+    forms: list[Poly] = [x, f1]
     # F_1 is f_1 with y written as y_1 (there is no previous y-form to lift to)
     lifts: list[Poly] = [
         Poly(_lift_names(1), {(0, 1): 1, **{(int(e), 0): -c for e, c in head}})
     ]
 
-    subs: list[Poly] = [substitute(x, g), substitute(f1, g)]
-    omegas: list[int] = [delta_x, subs[1].deg()]
+    subs = (substitute(x, g), substitute(f1, g))
+    width = _FIRST_WIDTH
+    while True:
+        try:
+            omegas, steps = _absorb(g, subs, width)
+            break
+        except _WindowTooSmall:
+            width *= 2
 
-    for k in range(1, l + 1):
-        p_k = pairs[k - 1][1]
+    for k, level in enumerate(steps, start=1):
         names = _lift_names(k)
-        lift = {(0,) * k + (p_k,): Fraction(1)}
-        s = subs[k] ** p_k
-        w_stop = _stopping_exponent(s, k, l, cum)
-        pow_cache: dict[tuple[int, int], Poly] = {}
+        lift = {(0,) * k + (pairs[k - 1][1],): Fraction(1)}
+        for key, coef in level:
+            lift[key] = lift.get(key, 0) - coef
+            if want_all:
+                chain.append(Poly(names, lift).evaluate(forms))
+        lift = Poly(names, lift)
+        lifts.append(lift)
+        forms.append(chain[-1] if want_all else lift.evaluate(forms))
+
+    result = EssentialKeyForms(
+        source=g,
+        forms=tuple(forms),
+        lifts=tuple(lifts),
+        omegas=tuple(omegas),
+        alphas=tuple(p for _, p in pairs),
+        all_forms=tuple(chain) if want_all else None,
+    )
+    _check_gcd_structure(result)
+    return result
+
+
+_FIRST_WIDTH = 16
+
+
+class _WindowTooSmall(Exception):
+    """A read fell below an exactness floor: rerun with a wider window."""
+
+
+def _top(s: Poly, floor) -> int:
+    """deg(s), which is exact only at or above the floor of s."""
+    if s.is_zero() and floor > -inf:
+        raise _WindowTooSmall
+    d = s.deg()
+    if d < floor:
+        raise _WindowTooSmall
+    return d
+
+
+def _window_floor(from_factors, top, low, width):
+    """Floor of a product of first degree top whose terms cannot go below
+    low.  The floors of the factors give from_factors; the window keeps
+    width below top.  A product of exact factors that the window cuts
+    nothing from stays exact."""
+    floor = max(from_factors, top - width)
+    if from_factors == -inf and floor <= low:
+        return -inf
+    return floor
+
+
+def _times(a: Poly, fa, b: Poly, fb, width: int) -> tuple[Poly, float | int]:
+    """a*b with its floor, where a and b are exact at or above fa and fb."""
+    da, db = _top(a, fa), _top(b, fb)
+    floor = _window_floor(max(fa + db, fb + da), da + db, a.ord() + b.ord(), width)
+    return a.mul(b, floor), floor
+
+
+def _power(s: Poly, f, b: int, width: int) -> tuple[Poly, float | int]:
+    """s**b with its floor, where s is exact at or above f."""
+    d = _top(s, f)
+    floor = _window_floor((b - 1) * d + f, b * d, b * s.ord(), width)
+    return s.power(b, floor), floor
+
+
+def _absorb(g: GenericDPS, subs, width: int):
+    """The absorption of every level on series cut to the window width.
+
+    subs holds x and f_1 substituted.  Returns the poles omega_0..omega_{l+1}
+    and, per level, the absorbed (lift key, coefficient) steps in order.
+    Raises _WindowTooSmall when a read falls below a floor.
+    """
+    pairs = g.formal_pairs
+    ps = [p for _, p in pairs]
+    cum = g.cumulative_p()
+    l = g.l
+    subs = list(subs)
+    floors = [-inf, -inf]
+    omegas: list[int] = [subs[0].deg(), subs[1].deg()]
+    powers: dict[tuple[int, int], tuple[Poly, float | int]] = {}
+
+    def power(j: int, b: int):
+        if (j, b) not in powers:
+            powers[(j, b)] = _power(subs[j], floors[j], b, width)
+        return powers[(j, b)]
+
+    steps: list[list[tuple[tuple[int, ...], Fraction]]] = []
+    for k in range(1, l + 1):
+        s, fs = power(k, ps[k - 1])
+        w_stop = _stopping_exponent(s, fs, k, l, cum)
+        level: list[tuple[tuple[int, ...], Fraction]] = []
         last_deg: int | None = None
-        absorbed = 0
         while True:
-            d = s.deg()
+            d = _top(s, fs)
             if d == w_stop:
-                if absorbed == 0:
+                if not level:
                     raise InvariantViolationError(
                         "raised power already sits on the stopping exponent",
                         k=k,
@@ -186,35 +283,25 @@ def essential_key_forms(g: GenericDPS, want_all: bool = False) -> EssentialKeyFo
                 s, "xi-dependent coefficient above the stopping exponent",
                 k=k, degree=d, stopping=w_stop,
             )
-            a0, betas = _decompose_weight(d, omegas[: k + 1], [p for _, p in pairs[:k]])
+            a0, betas = _decompose_weight(d, omegas[: k + 1], ps[:k])
             key = (a0, *betas)
             # x^a0 * f_1^b_1 ... f_k^b_k substituted, then scaled to cancel the top term
-            correction = Poly.monomial(names, key).evaluate(subs, pow_cache)
+            correction, fc = Poly.monomial(XI, (a0 * omegas[0], 0)), -inf
+            for j, b in enumerate(betas, start=1):
+                if b:
+                    correction, fc = _times(correction, fc, *power(j, b), width)
             coef = c / _xi_free_lead(
                 correction, "xi-dependent leading coefficient in a correction factor",
                 k=k, key=key,
             )
-            lift[key] = lift.get(key, 0) - coef
+            level.append((key, coef))
             s = s - correction.scale(coef)
-            absorbed += 1
-            if want_all:
-                chain.append(Poly(names, lift).evaluate(forms))
-        lift = Poly(names, lift)
-        lifts.append(lift)
-        forms.append(chain[-1] if want_all else lift.evaluate(forms))
+            fs = max(fs, fc)
+        steps.append(level)
         subs.append(s)
+        floors.append(fs)
         omegas.append(w_stop)
-
-    result = EssentialKeyForms(
-        source=g,
-        forms=tuple(forms),
-        lifts=tuple(lifts),
-        omegas=tuple(omegas),
-        alphas=tuple(p for _, p in pairs),
-        all_forms=tuple(chain) if want_all else None,
-    )
-    _check_gcd_structure(result)
-    return result
+    return omegas, steps
 
 
 def _lift_names(k: int) -> tuple[str, ...]:
@@ -231,8 +318,9 @@ def _xi_free_lead(s: Poly, message: str, **state) -> Fraction:
     return c
 
 
-def _stopping_exponent(s: Poly, k: int, l: int, cum) -> int:
-    """Next pole position, read off the freshly raised power.
+def _stopping_exponent(s: Poly, floor, k: int, l: int, cum) -> int:
+    """Next pole position, read off the freshly raised power, which is
+    exact at or above floor.
 
     Below the final level: the largest semidegree that is not a multiple of
     delta_x/(p_1..p_k) (delta_x = cum[-1]).  At the final level: the largest
@@ -240,11 +328,13 @@ def _stopping_exponent(s: Poly, k: int, l: int, cum) -> int:
     """
     if k < l:
         step = cum[-1] // cum[k - 1]
-        cand = [e for e, _ in s.terms if e % step]
+        cand = [e for e, _ in s.terms if e % step and e >= floor]
         what = "exponent outside the current lattice"
     else:
-        cand = [e for e, d in s.terms if d >= 1]
+        cand = [e for e, d in s.terms if d >= 1 and e >= floor]
         what = "xi-dependent exponent"
+    if not cand and floor > -inf:
+        raise _WindowTooSmall
     if not cand:
         raise InvariantViolationError(
             f"no {what} in the raised power",

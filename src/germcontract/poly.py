@@ -12,6 +12,7 @@ non-negative.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 
 from .errors import PreconditionError
 
@@ -91,14 +92,7 @@ class Poly:
         return Poly._make(self.names, {k: c for k, c in out.items() if c})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[tuple, Fraction] = {}
-        get = out.get
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                v = get(k)
-                out[k] = c1 * c2 if v is None else v + c1 * c2
-        return Poly._make(self.names, {k: c for k, c in out.items() if c})
+        return self.mul(other)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
@@ -106,29 +100,60 @@ class Poly:
             return Poly._make(self.names, {})
         return Poly._make(self.names, {k: v * c for k, v in self.terms.items()})
 
+    def mul(self, other: "Poly", floor=-inf) -> "Poly":
+        """The terms of self * other whose first exponent is at least floor;
+        the products of terms that fall below it are never formed."""
+        rhs = sorted(other.terms.items(), key=lambda t: t[0][0], reverse=True)
+        out: dict[tuple, Fraction] = {}
+        get = out.get
+        for k1, c1 in self.terms.items():
+            low = floor - k1[0]
+            for k2, c2 in rhs:
+                if k2[0] < low:
+                    break
+                k = tuple(a + b for a, b in zip(k1, k2))
+                v = get(k)
+                out[k] = c1 * c2 if v is None else v + c1 * c2
+        return Poly._make(self.names, {k: c for k, c in out.items() if c})
+
     def __pow__(self, n: int) -> "Poly":
+        return self.power(n)
+
+    def power(self, n: int, floor=-inf) -> "Poly":
+        """The terms of self**n whose first exponent is at least floor, by
+        squaring.  A partial power self**m keeps only the terms that can
+        still reach floor through the n - m factors left, each of first
+        degree deg()."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly._make(self.names, {(0,) * len(self.names): Fraction(1)})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            result = Poly._make(self.names, {(0,) * len(self.names): Fraction(1)})
+        elif self.is_zero():
+            result = self
+        else:
+            d = self.deg()
+            result, have = None, 0  # result = self**have
+            base, step = self, 1  # base = self**step
+            rest = n
+            while rest:
+                if rest & 1:
+                    have += step
+                    result = base if result is None else result.mul(base, floor - (n - have) * d)
+                rest >>= 1
+                if rest:
+                    step *= 2
+                    base = base.mul(base, floor - (n - step) * d)
+        return Poly._make(self.names, {k: c for k, c in result.terms.items() if k[0] >= floor})
 
-    def evaluate(self, images, cache: dict | None = None) -> "Poly":
+    def evaluate(self, images) -> "Poly":
         """self(images[0], images[1], ..., images[n-1]) in the ring of the
         images.
 
         images[0] is a monomial m; x^a maps to m^a, also for negative a (so
-        x^-1 stays a monomial).  cache maps (j, m) to images[j]**m; pass the
-        same dict to calls with the same images to share the powers between
-        them.
+        x^-1 stays a monomial).  The powers of images[1:] are shared between
+        the terms.
         """
-        cache = {} if cache is None else cache
+        cache: dict[tuple[int, int], Poly] = {}
         names = images[0].names
         ((m, cm),) = images[0].terms.items()
         one = {(0,) * len(names): Fraction(1)}

@@ -1,9 +1,10 @@
 """Shared hypothesis strategies: small random germs with bounded polydromy.
 
-Everything here keeps the product of the pair denominators at 12 or below so
-that a single example runs the full key-form engine in well under a
-millisecond-ish budget; the point of the property suites is breadth, not
-stress.
+By default a germ has at most two pairs and the product of its pair
+denominators is at most 12, so that an example runs the full key-form engine
+in a few milliseconds; the point of the property suites is breadth, not
+stress.  The key-form suites ask for up to three pairs and polydromy up to 24
+(max_pairs, max_polydromy).
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ COEFFS = tuple(
     Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)
 )
 
-_MAX_POLYDROMY = 12
-
 
 @st.composite
-def local_pair_data(draw, max_pairs: int = 2, tangent: bool | None = None):
+def local_pair_data(
+    draw, max_pairs: int = 2, tangent: bool | None = None, max_polydromy: int = 12
+):
     """Characteristic pairs valid on the local side: q_k >= 1, coprime,
-    strictly increasing exponents q_k/(p_1..p_k).
+    strictly increasing exponents q_k/(p_1..p_k), at most max_pairs of them
+    with p_1..p_k <= max_polydromy.
 
     tangent=True forces q_1 < p_1 (germ order < 1), tangent=False forces
     q_1 > p_1, None leaves both in play.
@@ -50,7 +52,7 @@ def local_pair_data(draw, max_pairs: int = 2, tangent: bool | None = None):
         cum = 1
         for _, p in pairs:
             cum *= p
-        p_choices = [p for p in (2, 3) if cum * p <= _MAX_POLYDROMY]
+        p_choices = [p for p in (2, 3) if cum * p <= max_polydromy]
         if not p_choices:
             break
         p_k = draw(st.sampled_from(p_choices))
@@ -68,15 +70,18 @@ def local_curves(
     data: CharacteristicData | None = None,
     tangent: bool | None = None,
     extra_terms: int = 2,
+    max_pairs: int = 2,
+    max_polydromy: int = 12,
 ):
-    """A local series realizing the given (or freshly drawn) pairs.
+    """A local series realizing the given pairs, or pairs freshly drawn with
+    local_pair_data(max_pairs, tangent, max_polydromy).
 
     Nonzero coefficients go on every characteristic exponent; up to
     extra_terms additional integer-exponent terms are sprinkled in, which
     never disturb the pairs (integers sit in every lattice).
     """
     if data is None:
-        data = draw(local_pair_data(tangent=tangent))
+        data = draw(local_pair_data(max_pairs, tangent, max_polydromy))
     terms = {e: draw(st.sampled_from(COEFFS)) for e in data.char_exponents()}
     for _ in range(draw(st.integers(0, extra_terms))):
         e = Fraction(draw(st.integers(1, 4)))

@@ -221,12 +221,16 @@ def _declared_script(name):
     raise LookupError(f"{name!r} is not declared in [project.scripts] of {PYPROJECT}")
 
 
-def _run_pinned(argv):
-    """Run argv with the package under test first on the child's import path,
+def _pinned_env():
+    """The environment with the package under test first on the import path,
     so an installed copy elsewhere cannot answer in its place."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [IMPORT_ROOT, env.get("PYTHONPATH")]))
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return env
+
+
+def _run_pinned(argv):
+    return subprocess.run(argv, capture_output=True, text=True, env=_pinned_env())
 
 
 def test_console_script_smoke():
@@ -251,6 +255,23 @@ def test_module_entry_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["contractible"] is True
+
+
+def test_closed_stdout_exits_1_quietly():
+    """A reader that is gone (`... | head -c 10`) is not an input error: the
+    child prints nothing to stderr and exits 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "germcontract", "keyforms",
+             "--series", "u^(3/5)+u^2", "--r", "8", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_pinned_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
 
 
 def test_importing_the_main_module_runs_nothing():

@@ -1,12 +1,17 @@
-"""The key-form engine: worked chains, lifts, pole orders, decompositions."""
+"""The key-form engine: worked chains, lifts, pole orders, decompositions,
+and the windowed products it raises its powers with."""
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, inf, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import decompose_bruteforce
+from strategies import COEFFS
 
+from germcontract import keyforms
 from germcontract import (
     GenericDPS,
     Poly,
@@ -16,13 +21,16 @@ from germcontract import (
     all_key_forms,
     essential_key_forms,
     generic_dps_from_curve,
+    is_algebraic,
     is_polynomial,
     local_to_degreewise,
     omega_decompose,
     parse_poly,
     parse_puiseux,
+    puiseux_pairs,
     semidegree_eval,
     substitute,
+    virtual_poles,
 )
 
 F = Fraction
@@ -270,3 +278,156 @@ def test_lifted_poly_weight_bound_on_stored_monomials(worked):
         for key in lift.terms:
             for j, e in enumerate(key[1:-1], start=1):
                 assert e < ps[j - 1]
+
+
+# --- the windowed engine ----------------------------------------------------
+
+XI = ("x", "xi")
+WINDOW = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def xi_series(draw, max_terms: int = 12):
+    """A nonzero series keyed (semidegree, xi-degree), as substitute returns."""
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(-20, 20), st.integers(0, 3)),
+            min_size=1, max_size=max_terms, unique=True,
+        )
+    )
+    return Poly(XI, {k: draw(st.sampled_from(COEFFS)) for k in keys})
+
+
+def _above(f: Poly, floor) -> dict:
+    return {k: c for k, c in f.terms.items() if k[0] >= floor}
+
+
+def _schoolbook(a: Poly, b: Poly) -> Poly:
+    """a*b term by term, the reference for the cut products."""
+    out: dict = {}
+    for (i1, j1), c1 in a.terms.items():
+        for (i2, j2), c2 in b.terms.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return Poly(XI, out)
+
+
+@st.composite
+def floored(draw, max_terms: int = 12):
+    """(exact series, stored copy, floor): the copy agrees with the series at
+    or above the floor and carries made-up terms below it."""
+    exact = draw(xi_series(max_terms))
+    floor = draw(st.one_of(st.just(-inf), st.integers(exact.ord() - 2, exact.deg())))
+    stored = dict(_above(exact, floor))
+    if floor > -inf:
+        for _ in range(draw(st.integers(0, 4))):
+            key = (draw(st.integers(floor - 12, floor - 1)), draw(st.integers(0, 3)))
+            stored[key] = Fraction(draw(st.integers(1, 9)))
+    return exact, Poly(XI, stored), floor
+
+
+@WINDOW
+@given(a=xi_series(), b=xi_series(), floor=st.integers(-45, 45))
+def test_cut_product_is_the_full_one_above_the_floor(a, b, floor):
+    full = _schoolbook(a, b)
+    assert a.mul(b, floor).terms == _above(full, floor)
+    assert a * b == full
+
+
+@WINDOW
+@given(a=xi_series(max_terms=5), floor=st.integers(-90, 90), n=st.integers(0, 5))
+def test_cut_power_is_the_full_one_above_the_floor(a, floor, n):
+    full = Poly(XI, {(0, 0): 1})
+    for _ in range(n):
+        full = _schoolbook(full, a)
+    assert a.power(n, floor).terms == _above(full, floor)
+    assert a**n == full
+
+
+@WINDOW
+@given(a=floored(), b=floored(), width=st.integers(0, 40))
+def test_window_product_is_exact_above_its_floor(a, b, width):
+    (ea, sa, fa), (eb, sb, fb) = a, b
+    got, floor = keyforms._times(sa, fa, sb, fb, width)
+    true = _schoolbook(ea, eb)
+    assert floor <= true.deg()
+    assert _above(got, floor) == _above(true, floor)
+    if fa == fb == -inf and width >= true.deg() - true.ord():
+        assert floor == -inf and got == true
+
+
+@WINDOW
+@given(a=floored(max_terms=5), n=st.integers(1, 5), width=st.integers(0, 80))
+def test_window_power_is_exact_above_its_floor(a, n, width):
+    exact, stored, f = a
+    got, floor = keyforms._power(stored, f, n, width)
+    true = exact
+    for _ in range(n - 1):
+        true = _schoolbook(true, exact)
+    assert floor <= true.deg()
+    assert _above(got, floor) == _above(true, floor)
+
+
+def _needs_width(series: str, r: int) -> int:
+    """The narrowest doubling of the first window the absorption runs in."""
+    g = generic_dps_from_curve(local_to_degreewise(parse_puiseux(series)), r)
+    forms = essential_key_forms(g).forms
+    subs = (substitute(forms[0], g), substitute(forms[1], g))
+    width = keyforms._FIRST_WIDTH
+    while True:
+        try:
+            keyforms._absorb(g, subs, width)
+            return width
+        except keyforms._WindowTooSmall:
+            width *= 2
+
+
+# Forms and poles recorded from the engine that raised every power in full.
+RESTART_ANCHORS = [
+    (
+        "u^(3/5) + u^(23/10)", 1, 32, (10, 4, 3, 5),
+        ("x", "y", "y^5 - x^2", "y^10 - 2*x^2*y^5 - 25*x^(-1)*y^4 + x^4"),
+    ),
+    (
+        "u^(7/11) + u^(15/22)", 40, 64, (22, 8, 87, 134),
+        (
+            "x", "y", "y^11 - x^4",
+            "y^22 - 22*x*y^19 + 187*x^2*y^16 - 770*x^3*y^13 - 2*x^4*y^11"
+            " + 1573*x^4*y^10 - 99*x^5*y^8 - 1452*x^5*y^7 - 308*x^6*y^5"
+            " + 462*x^6*y^4 - 77*x^7*y^2 - 22*x^7*y + x^8 - x^7",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("series,r,width,omegas,forms", RESTART_ANCHORS)
+def test_anchors_that_widen_the_window(series, r, width, omegas, forms):
+    """Both germs overflow the first window, so the engine reruns; the rerun
+    must give the forms of the full-power engine."""
+    assert width > keyforms._FIRST_WIDTH
+    assert _needs_width(series, r) == width
+    g = generic_dps_from_curve(local_to_degreewise(parse_puiseux(series)), r)
+    keys = essential_key_forms(g)
+    assert keys.omegas == omegas
+    assert tuple(f.format() for f in keys.forms) == forms
+
+
+MULTI_PAIR = [
+    ("u^(5/7) + u^(11/14) + u^(23/28)", None),
+    ("u^(5/7) + u^(11/14) + u^(23/28) + u^(47/56)", None),
+    (
+        "u^(5/7) + u^(11/14) + u^(23/28) + u^(47/56) + u^(95/112)",
+        (112, 32, 216, 428, 854, 1707, 3411),
+    ),
+]
+
+
+@pytest.mark.parametrize("series,omegas", MULTI_PAIR)
+def test_multi_pair_anchors(series, omegas):
+    curve = parse_puiseux(series)
+    vp = virtual_poles(puiseux_pairs(curve).pairs, 3)
+    rep = is_algebraic(curve, 3)
+    assert rep.key_forms.omegas == vp.omegas + (vp.generic_pole,)
+    if omegas is not None:
+        assert rep.key_forms.omegas == omegas
+    assert rep.algebraic is True

@@ -1,7 +1,9 @@
 """Randomized invariants tying the independent computation paths together.
 
-Each suite runs wide (100+ examples) over germs with polydromy <= 12; the
-seeds are derandomized so a run is reproducible byte for byte.
+Each suite runs wide (100+ examples) over germs with polydromy <= 12, and
+the two suites of the key-form chain over germs with up to three pairs and
+polydromy <= 24; the seeds are derandomized so a run is reproducible byte
+for byte.
 """
 
 from math import gcd, prod
@@ -43,7 +45,10 @@ def test_semidegree_is_multiplicative(f, g, dps):
 
 
 @BREADTH
-@given(curve=local_curves(tangent=True), r=st.integers(0, 10))
+@given(
+    curve=local_curves(tangent=True, max_pairs=3, max_polydromy=24),
+    r=st.integers(0, 10),
+)
 def test_chain_poles_match_the_closed_form(curve, r):
     pairs = puiseux_pairs(curve).pairs
     vp = virtual_poles(pairs, r)
@@ -85,7 +90,10 @@ def test_omega_decompose_is_the_unique_bounded_writing(dps, data):
 
 
 @HEAVY
-@given(curve=local_curves(tangent=True), r=st.integers(0, 12))
+@given(
+    curve=local_curves(tangent=True, max_pairs=3, max_polydromy=24),
+    r=st.integers(0, 12),
+)
 def test_verdict_is_the_polynomial_chain_condition(curve, r):
     rep = is_algebraic(curve, r, force_keyforms=True)
     keys = rep.key_forms
