@@ -3,12 +3,17 @@
 Subcommands: analyze (full report), keyforms, classify, dualgraph,
 singlepair, sweep.  Inputs come from a plain key = value file
 (series = "u^(3/5) + u^2", pairs = [(3,5),(23,2)], r = 8) or the
-equivalent flags.  Exit codes: 0 for any computed verdict, 1 when the
+equivalent flags, which override the file and are spelled in full.  The
+pair and r rules are the library's (puiseux.local_pair_data and
+puiseux.check_r).  Exit codes: 0 for any computed verdict; 1 when the
 reader closes standard output before all of it is written (nothing more is
-printed), 2 for input that cannot be parsed or a spec file that cannot be
-read, 3 for violated preconditions (for example a germ of order >= 1 where
-a contraction is requested).  All verdicts come straight from the library
-calls; the frontend only formats.
+printed); 2 for bad input: a malformed series, pairs, r, p, q or poly
+value, an unknown or abbreviated flag, or a spec file that cannot be read
+or parsed; 3 for well-formed input outside what was asked (a germ of order
+>= 1 where a contraction is requested, a series without a characteristic
+pair, keyforms without a series, a singlepair polynomial that is not monic
+of degree p in v or has a negative exponent).  All verdicts come straight
+from the library calls; the frontend only reads and formats.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .criteria import (
     Classification,
@@ -37,8 +43,11 @@ from .puiseux import (
     CharacteristicData,
     Orientation,
     PuiseuxPoly,
+    check_r,
+    check_tangent,
     degreewise_to_local,
     format_puiseux,
+    local_pair_data,
     local_to_degreewise,
     parse_puiseux,
     puiseux_pairs,
@@ -60,8 +69,8 @@ class CurveSpec:
     r: int | None
 
 
-class _UnreadableSpec(Exception):
-    """The spec file could not be read; carries the OSError as its message."""
+class _BadInput(Exception):
+    """Input that cannot be read or fails a library input rule: exit 2."""
 
 
 def load_spec_file(path: str) -> dict:
@@ -69,7 +78,7 @@ def load_spec_file(path: str) -> dict:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise _UnreadableSpec(exc) from exc
+        raise _BadInput(exc) from exc
     spec: dict = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -78,26 +87,41 @@ def load_spec_file(path: str) -> dict:
         key, eq, value = line.partition("=")
         key = key.strip()
         if not eq or key not in _SPEC_KEYS:
-            raise SeriesParseError(
+            raise _BadInput(
                 f"{path}:{lineno}: expected 'key = value' with key one of "
-                f"{', '.join(_SPEC_KEYS)}",
-                lineno,
+                f"{', '.join(_SPEC_KEYS)}"
             )
         try:
             spec[key] = ast.literal_eval(value.strip())
-        except (ValueError, SyntaxError) as exc:
-            raise SeriesParseError(
-                f"{path}:{lineno}: bad value for {key}: {exc}", lineno
-            )
+        except (ValueError, TypeError, SyntaxError) as exc:
+            raise _BadInput(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return spec
+
+
+def _read_inputs(args) -> dict:
+    """The spec file's entries, each overridden by its flag when given."""
+    raw = load_spec_file(args.specfile) if args.specfile else {}
+    for key in _SPEC_KEYS:
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
+    return raw
+
+
+def _checked(rule, value):
+    """rule(value), with the PreconditionError of a library input rule
+    reported as bad input."""
+    try:
+        return rule(value)
+    except PreconditionError as exc:
+        raise _BadInput(exc) from exc
 
 
 def _parse_pairs_value(value) -> CharacteristicData:
     if isinstance(value, str):
         try:
             value = ast.literal_eval(value)
-        except (ValueError, SyntaxError) as exc:
-            raise SeriesParseError(f"bad pairs value: {exc}", 0)
+        except (ValueError, TypeError, SyntaxError) as exc:
+            raise _BadInput(f"bad pairs value: {exc}") from exc
     if (
         isinstance(value, tuple)
         and len(value) == 2
@@ -105,55 +129,34 @@ def _parse_pairs_value(value) -> CharacteristicData:
     ):
         value = [value]
     if not isinstance(value, (list, tuple)):
-        raise SeriesParseError("pairs must be a list of (q, p) tuples", 0)
-    try:
-        return CharacteristicData.from_pairs(value)
-    except (PreconditionError, TypeError, ValueError) as exc:
-        raise SeriesParseError(f"bad pairs value: {exc}", 0)
+        raise _BadInput("pairs must be a list of (q, p) tuples")
+    return _checked(local_pair_data, value)
 
 
 def resolve_spec(args, need_r: bool = True) -> CurveSpec:
-    raw: dict = {}
-    if getattr(args, "specfile", None):
-        raw.update(load_spec_file(args.specfile))
-    if getattr(args, "series", None) is not None:
-        raw["series"] = args.series
-    if getattr(args, "pairs", None) is not None:
-        raw["pairs"] = args.pairs
-    if getattr(args, "r", None) is not None:
-        raw["r"] = args.r
-
+    raw = _read_inputs(args)
     if ("series" in raw) == ("pairs" in raw):
-        raise SeriesParseError(
-            "give exactly one of series/--series or pairs/--pairs", 0
-        )
+        raise _BadInput("give exactly one of series/--series or pairs/--pairs")
     series = None
     if "series" in raw:
         if not isinstance(raw["series"], str):
-            raise SeriesParseError("series must be a string", 0)
+            raise _BadInput("series must be a string")
         series = parse_puiseux(raw["series"])
         if series.orientation is Orientation.DEGREEWISE:
             series = degreewise_to_local(series)
-        pairs = puiseux_pairs(series)
-        if not pairs.pairs:
-            raise PreconditionError(
-                "the series has no fractional exponent (no characteristic pair)"
-            )
+        pairs = local_pair_data(puiseux_pairs(series))
     else:
         pairs = _parse_pairs_value(raw["pairs"])
-        if not pairs.pairs:
-            raise SeriesParseError("pairs must contain at least one pair", 0)
     r = raw.get("r")
     if need_r:
         if r is None:
-            raise SeriesParseError("r is required (file key r or --r)", 0)
-        if not isinstance(r, int) or r < 0:
-            raise SeriesParseError(f"r = {r!r} must be a non-negative integer", 0)
+            raise _BadInput("r is required (file key r or --r)")
+        _checked(check_r, r)
     return CurveSpec(series, pairs, r)
 
 
-def _emit(doc: dict, out) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2), file=out)
+def _emit(doc: dict) -> None:
+    print(json.dumps(doc, sort_keys=True, indent=2))
 
 
 def _poles_doc(vp) -> dict:
@@ -178,40 +181,26 @@ def _report_doc(rep: SemigroupReport) -> dict:
     }
 
 
-def _print_report(rep: SemigroupReport, out) -> None:
+def _print_report(rep: SemigroupReport) -> None:
     vp = rep.poles
-    print(f"alpha = {vp.alpha}, p^2 = {vp.p ** 2}", file=out)
-    print(
-        "semigroup generators: " + ", ".join(str(w) for w in vp.tilde_omegas),
-        file=out,
-    )
+    print(f"alpha = {vp.alpha}, p^2 = {vp.p ** 2}")
+    print("semigroup generators: " + ", ".join(str(w) for w in vp.tilde_omegas))
     print(
         "virtual poles: "
         + ", ".join(str(w) for w in vp.omegas)
-        + f"; generic pole = {vp.generic_pole}",
-        file=out,
+        + f"; generic pole = {vp.generic_pole}"
     )
     for i, ok in enumerate(rep.s1, 1):
-        print(f"S1 k={i}: {'ok' if ok else 'FAIL'}", file=out)
+        print(f"S1 k={i}: {'ok' if ok else 'FAIL'}")
     for e in rep.s2:
         tail = "ok" if e.holds else f"FAIL (largest gap element {e.offender})"
-        print(f"S2 k={e.k}: {tail}", file=out)
-    print(f"classification: {rep.classification.value}", file=out)
+        print(f"S2 k={e.k}: {tail}")
+    print(f"classification: {rep.classification.value}")
 
 
-def _require_tangent(pairs: CharacteristicData) -> None:
-    q1, p1 = pairs.pairs[0]
-    if q1 >= p1:
-        raise PreconditionError(
-            "the germ has order >= 1: the line's strict transform cannot "
-            "be part of a contractible configuration"
-        )
-
-
-def cmd_analyze(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_analyze(args) -> int:
     spec = resolve_spec(args)
-    _require_tangent(spec.pairs)
+    check_tangent(spec.pairs)
     rep = semigroup_conditions(spec.pairs, spec.r)
     contractible = rep.classification is not Classification.NOT_CONTRACTIBLE
     doc = _report_doc(rep)
@@ -229,40 +218,28 @@ def cmd_analyze(args, out=None) -> int:
         )
         doc["wp_weights"] = list(alg.wp_weights) if alg.wp_weights else None
     if args.json:
-        _emit(doc, out)
+        _emit(doc)
         return EXIT_OK
     if spec.series is not None:
-        print(f"series: {format_puiseux(spec.series)}", file=out)
-    print(
-        "pairs: " + ", ".join(f"({q},{p})" for q, p in spec.pairs.pairs)
-        + f"; r = {spec.r}",
-        file=out,
-    )
-    _print_report(rep, out)
-    print(f"contractible: {'yes' if contractible else 'no'}", file=out)
+        print(f"series: {format_puiseux(spec.series)}")
+    print("pairs: " + ", ".join(f"({q},{p})" for q, p in spec.pairs.pairs) + f"; r = {spec.r}")
+    _print_report(rep)
+    print(f"contractible: {'yes' if contractible else 'no'}")
     if alg is not None:
         if alg.key_forms is not None:
-            print("key forms: " + "; ".join(f.format() for f in alg.key_forms.forms), file=out)
-            print(
-                "pole orders: " + ", ".join(str(w) for w in alg.key_forms.omegas),
-                file=out,
-            )
+            print("key forms: " + "; ".join(f.format() for f in alg.key_forms.forms))
+            print("pole orders: " + ", ".join(str(w) for w in alg.key_forms.omegas))
         if alg.algebraic is None:
-            print("algebraic: n/a (not contractible)", file=out)
+            print("algebraic: n/a (not contractible)")
         else:
-            print(f"algebraic: {'yes' if alg.algebraic else 'no'}", file=out)
+            print(f"algebraic: {'yes' if alg.algebraic else 'no'}")
         if alg.witness_curve is not None:
-            print(f"witness curve: {alg.witness_curve.format()} = 0", file=out)
-            print(
-                "weighted-projective weights: "
-                + ", ".join(str(w) for w in alg.wp_weights),
-                file=out,
-            )
+            print(f"witness curve: {alg.witness_curve.format()} = 0")
+            print("weighted-projective weights: " + ", ".join(str(w) for w in alg.wp_weights))
     return EXIT_OK
 
 
-def cmd_keyforms(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_keyforms(args) -> int:
     spec = resolve_spec(args)
     if spec.series is None:
         raise PreconditionError(
@@ -279,59 +256,50 @@ def cmd_keyforms(args, out=None) -> int:
         }
         if args.all:
             doc["all_forms"] = [f.format() for f in keys.all_forms]
-        _emit(doc, out)
+        _emit(doc)
         return EXIT_OK
     for k, f in enumerate(keys.forms):
-        print(f"f_{k} = {f.format()}", file=out)
+        print(f"f_{k} = {f.format()}")
     for k, F in enumerate(keys.lifts, 1):
-        print(f"F_{k} = {F.format()}", file=out)
-    print("pole orders: " + ", ".join(str(w) for w in keys.omegas), file=out)
-    print("alphas: " + ", ".join(str(a) for a in keys.alphas), file=out)
+        print(f"F_{k} = {F.format()}")
+    print("pole orders: " + ", ".join(str(w) for w in keys.omegas))
+    print("alphas: " + ", ".join(str(a) for a in keys.alphas))
     if args.all:
-        print("full chain:", file=out)
+        print("full chain:")
         for f in keys.all_forms:
-            print(f"  {f.format()}", file=out)
+            print(f"  {f.format()}")
     return EXIT_OK
 
 
-def cmd_classify(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_classify(args) -> int:
     spec = resolve_spec(args)
     rep = semigroup_conditions(spec.pairs, spec.r)
     if args.json:
-        _emit(_report_doc(rep), out)
+        _emit(_report_doc(rep))
     else:
-        _print_report(rep, out)
+        _print_report(rep)
     return EXIT_OK
 
 
-def cmd_dualgraph(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_dualgraph(args) -> int:
     spec = resolve_spec(args)
     g = build_dual_graph(spec.pairs, spec.r)
     fmt = "json" if args.json and args.format == "dot" else args.format
-    print(export_graph(g, fmt), file=out)
+    print(export_graph(g, fmt))
     return EXIT_OK
 
 
-def cmd_singlepair(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    raw: dict = {}
-    if args.specfile:
-        raw.update(load_spec_file(args.specfile))
-    if args.poly is not None:
-        raw["poly"] = args.poly
-    if args.p is not None:
-        raw["p"] = args.p
-    if args.q is not None:
-        raw["q"] = args.q
-    if args.r is not None:
-        raw["r"] = args.r
+def cmd_singlepair(args) -> int:
+    raw = _read_inputs(args)
     missing = [k for k in ("poly", "p", "q", "r") if k not in raw]
     if missing:
-        raise SeriesParseError(f"singlepair needs {', '.join(missing)}", 0)
+        raise _BadInput(f"singlepair needs {', '.join(missing)}")
+    if not isinstance(raw["poly"], str):
+        raise _BadInput("poly must be a string")
+    ((q, p),) = _checked(local_pair_data, [(raw["q"], raw["p"])]).pairs
+    r = raw["r"]
+    _checked(check_r, r)
     f = parse_poly(raw["poly"], xname="u", yname="v")
-    p, q, r = raw["p"], raw["q"], raw["r"]
     algebraic = single_pair_test(f, p, q, r)
     closed = single_pair_closed_form(q, p, r)
     doc = {
@@ -341,16 +309,15 @@ def cmd_singlepair(args, out=None) -> int:
         "nonalgebraic_exists": closed["nonalgebraic_exists"],
     }
     if args.json:
-        _emit(doc, out)
+        _emit(doc)
         return EXIT_OK
-    print(f"alpha = {doc['alpha']}", file=out)
-    print(f"contractible: {'yes' if closed['contractible'] else 'no'}", file=out)
+    print(f"alpha = {doc['alpha']}")
+    print(f"contractible: {'yes' if closed['contractible'] else 'no'}")
     print(
         "non-algebraic contractions exist for some curve: "
-        + ("yes" if closed["nonalgebraic_exists"] else "no"),
-        file=out,
+        + ("yes" if closed["nonalgebraic_exists"] else "no")
     )
-    print(f"this curve's contraction algebraic: {'yes' if algebraic else 'no'}", file=out)
+    print(f"this curve's contraction algebraic: {'yes' if algebraic else 'no'}")
     return EXIT_OK
 
 
@@ -363,11 +330,9 @@ def _random_series(pairs: CharacteristicData, rng: random.Random) -> PuiseuxPoly
     return PuiseuxPoly(Orientation.LOCAL, coeffs)
 
 
-def cmd_sweep(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_sweep(args) -> int:
     spec = resolve_spec(args, need_r=False)
-    if args.r_max < 0:
-        raise SeriesParseError("--r-max must be >= 0", 0)
+    _checked(check_r, args.r_max)
     rng = random.Random(args.seed) if args.seed is not None else None
     rows = []
     for r in range(args.r_max + 1):
@@ -385,9 +350,7 @@ def cmd_sweep(args, out=None) -> int:
                 row["consistent"] = None
         rows.append(row)
     if args.json:
-        _emit(
-            {"pairs": [list(pr) for pr in spec.pairs.pairs], "sweep": rows}, out
-        )
+        _emit({"pairs": [list(pr) for pr in spec.pairs.pairs], "sweep": rows})
         return EXIT_OK
     for row in rows:
         line = f"r={row['r']}: {row['classification']}"
@@ -396,7 +359,7 @@ def cmd_sweep(args, out=None) -> int:
             if row["consistent"] is not None:
                 line += f", consistent: {row['consistent']}"
             line += ")"
-        print(line, file=out)
+        print(line)
     return EXIT_OK
 
 
@@ -415,22 +378,24 @@ def build_parser() -> argparse.ArgumentParser:
     withr.add_argument("--r", type=int, help="number of extra blow-ups")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    p_an = sub.add_parser("analyze", parents=[curve, withr], help="full report")
+    # flags are spelled in full: as a prefix, --r on sweep would mean --r-max
+    add_parser = partial(sub.add_parser, allow_abbrev=False)
+    p_an = add_parser("analyze", parents=[curve, withr], help="full report")
     p_an.add_argument(
         "--force-keyforms",
         action="store_true",
         help="compute key forms even when not contractible",
     )
     p_an.set_defaults(func=cmd_analyze)
-    p_kf = sub.add_parser("keyforms", parents=[curve, withr], help="essential key forms")
+    p_kf = add_parser("keyforms", parents=[curve, withr], help="essential key forms")
     p_kf.add_argument("--all", action="store_true", help="print the full chain")
     p_kf.set_defaults(func=cmd_keyforms)
-    p_cl = sub.add_parser("classify", parents=[curve, withr], help="semigroup classification")
+    p_cl = add_parser("classify", parents=[curve, withr], help="semigroup classification")
     p_cl.set_defaults(func=cmd_classify)
-    p_dg = sub.add_parser("dualgraph", parents=[curve, withr], help="weighted dual graph")
+    p_dg = add_parser("dualgraph", parents=[curve, withr], help="weighted dual graph")
     p_dg.add_argument("--format", choices=("dot", "json"), default="dot")
     p_dg.set_defaults(func=cmd_dualgraph)
-    p_sp = sub.add_parser("singlepair", help="single-pair Weierstrass shortcut")
+    p_sp = add_parser("singlepair", help="single-pair Weierstrass shortcut")
     p_sp.add_argument("specfile", nargs="?", help="key = value input file")
     p_sp.add_argument("--poly", help='polynomial in u, v, e.g. "v^5 - u^3"')
     p_sp.add_argument("--p", type=int, help="pair denominator p")
@@ -438,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--r", type=int, help="number of extra blow-ups")
     p_sp.add_argument("--json", action="store_true")
     p_sp.set_defaults(func=cmd_singlepair)
-    p_sw = sub.add_parser("sweep", parents=[curve], help="classification for r = 0..r-max")
+    p_sw = add_parser("sweep", parents=[curve], help="classification for r = 0..r-max")
     p_sw.add_argument("--r-max", type=int, required=True)
     p_sw.add_argument("--seed", type=int, help="also test a sampled curve per r")
     p_sw.set_defaults(func=cmd_sweep)
@@ -449,7 +414,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SeriesParseError, _UnreadableSpec) as exc:
+    except (SeriesParseError, _BadInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:

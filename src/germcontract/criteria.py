@@ -26,6 +26,7 @@ from .puiseux import (
     Orientation,
     PuiseuxPoly,
     check_r,
+    is_tangent,
     local_pair_data,
     local_to_degreewise,
     puiseux_pairs,
@@ -54,8 +55,7 @@ def is_contractible(local_pairs, r: int) -> bool:
     alpha < p^2."""
     data = local_pair_data(local_pairs)
     check_r(r)
-    q1, p1 = data.pairs[0]
-    if q1 >= p1:
+    if not is_tangent(data):
         return False
     return alpha_invariant(data, r) < data.polydromy**2
 
@@ -333,8 +333,6 @@ def is_algebraic(curve: PuiseuxPoly, r: int, force_keyforms: bool = False) -> Al
     if curve.orientation is not Orientation.LOCAL:
         raise PreconditionError("curve must be a local series (in u)")
     data = puiseux_pairs(curve)
-    if not data.pairs:
-        raise PreconditionError("curve needs at least one characteristic pair")
     contractible = is_contractible(data, r)
     keys = None
     if contractible or force_keyforms:
@@ -363,8 +361,7 @@ def single_pair_test(f: Poly, p: int, q_tilde: int, r: int) -> bool:
     (possibly nothing) has total degree at most p.
     """
     check_r(r)
-    if p < 2 or q_tilde < 1 or gcd(p, q_tilde) != 1:
-        raise PreconditionError("need p >= 2 and q_tilde >= 1 coprime")
+    local_pair_data([(q_tilde, p)])
     if f.is_zero() or f.leading(1) != Poly.monomial(f.names, (0, p)):
         raise PreconditionError(f"f must be monic of degree {p} in v")
     if f.ord() < 0:
@@ -381,8 +378,7 @@ def single_pair_closed_form(q: int, p: int, r: int) -> dict:
     """Closed-form answers for a single pair (q, p): the configuration is
     contractible iff r < p(p - q), and admits a non-algebraic contraction
     iff additionally r > 2p - q."""
-    if p < 1 or q < 1 or gcd(p, q) != 1:
-        raise PreconditionError("need p, q >= 1 coprime")
+    local_pair_data([(q, p)])
     check_r(r)
     contractible = r < p * (p - q)
     return {

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import compress
 
 from .errors import InvariantViolationError, PreconditionError
-from .puiseux import check_r, local_pair_data
+from .puiseux import check_r, check_tangent, local_pair_data
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,7 @@ def build_dual_graph(local_pairs, r: int) -> DualGraph:
     the weighted dual graph of the rest."""
     data = local_pair_data(local_pairs)
     check_r(r)
-    q1, p1 = data.pairs[0]
-    if q1 >= p1:
-        raise PreconditionError(
-            "the germ must have order < 1 (tangent to the line)"
-        )
+    check_tangent(data)
 
     betas = data.betas()
     gaps = iter([b - a for a, b in zip(betas, betas[1:])])

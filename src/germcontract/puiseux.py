@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from types import MappingProxyType
 
@@ -143,13 +143,18 @@ class PuiseuxPoly:
         return format_puiseux(self)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class CharacteristicData:
     """Characteristic pairs (q_k, p_k) plus the polydromy order p = prod p_k.
 
-    Every p_k >= 2 and gcd(q_k, p_k) = 1.  The sign/monotonicity pattern of
-    the q_k depends on which orientation the pairs were extracted from; the
-    local-side validation lives with the operations that require it.
+    Every entry is an int (a bool is not), every p_k >= 2 and
+    gcd(q_k, p_k) = 1.  The sign/monotonicity pattern of the q_k depends on
+    which orientation the pairs were extracted from; the local-side
+    validation lives in local_pair_data.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -158,6 +163,8 @@ class CharacteristicData:
     def __post_init__(self):
         acc = 1
         for q, p in self.pairs:
+            if not (_is_int(q) and _is_int(p)):
+                raise PreconditionError(f"pair ({q!r},{p!r}): entries must be integers")
             if p < 2:
                 raise PreconditionError(f"pair ({q},{p}): p must be >= 2")
             if gcd(q, p) != 1:
@@ -170,11 +177,12 @@ class CharacteristicData:
 
     @classmethod
     def from_pairs(cls, pairs) -> "CharacteristicData":
-        pairs = tuple((int(q), int(p)) for q, p in pairs)
-        acc = 1
-        for _, p in pairs:
-            acc *= p
-        return cls(pairs, acc)
+        try:
+            pairs = tuple((q, p) for q, p in pairs)
+        except (TypeError, ValueError):
+            raise PreconditionError(f"pairs must be (q, p) tuples, not {pairs!r}") from None
+        # a non-integer p is left out of the product and reported by __post_init__
+        return cls(pairs, prod(p for _, p in pairs if _is_int(p)))
 
     def cumulative_p(self) -> tuple[int, ...]:
         """(p_1, p_1p_2, ..., p_1..p_k)."""
@@ -194,8 +202,9 @@ class CharacteristicData:
 
 
 def check_r(r) -> None:
-    """Reject r, the number of extra blow-ups, unless it is a non-negative int."""
-    if not isinstance(r, int) or r < 0:
+    """Reject r, the number of extra blow-ups, unless it is a non-negative int
+    (a bool is not)."""
+    if not _is_int(r) or r < 0:
         raise PreconditionError(f"r = {r!r} must be a non-negative integer")
 
 
@@ -219,6 +228,22 @@ def local_pair_data(local_pairs) -> CharacteristicData:
                 f"characteristic exponents must increase: {exps[k - 1]} then {e}"
             )
     return data
+
+
+def is_tangent(data: CharacteristicData) -> bool:
+    """Whether the germ of the local pairs is tangent to the line: its order
+    q_1/p_1 is < 1."""
+    q1, p1 = data.pairs[0]
+    return q1 < p1
+
+
+def check_tangent(data: CharacteristicData) -> None:
+    """Reject a germ of order >= 1 where a contraction is asked for."""
+    if not is_tangent(data):
+        raise PreconditionError(
+            "the germ has order >= 1: the line's strict transform cannot "
+            "be part of a contractible configuration"
+        )
 
 
 def cumulative_products(pairs) -> tuple[int, ...]:

@@ -164,8 +164,16 @@ PARSE_FAILS = [
     ["classify", "--series", "u^(3/5)", "--r", "-2"],
     ["classify", "--pairs", "[(3,5),(2,2)]", "--r", "1"],
     ["classify", "--pairs", "[]", "--r", "1"],
+    ["classify", "--pairs", "[(3,5),(1,2)]", "--r", "1"],
+    ["classify", "--pairs", "[(-3,5)]", "--r", "1"],
+    ["classify", "--pairs", "[(3.5,5)]", "--r", "9"],
+    ["classify", "--pairs", "[('3',5)]", "--r", "1"],
+    ["classify", "--pairs", "[(3,5,1)]", "--r", "1"],
+    ["classify", "--pairs", "{[1]: 2}", "--r", "1"],
     ["classify", "/no/such/file.germ"],
     ["singlepair", "--poly", "v^5 - u^3", "--p", "5"],
+    ["singlepair", "--poly", "v^5 - u^3", "--p", "5", "--q", "3", "--r", "-1"],
+    ["singlepair", "--poly", "v^5 - u^10", "--p", "5", "--q", "10", "--r", "1"],
     ["sweep", "--pairs", "[(3,5)]", "--r-max", "-1"],
 ]
 
@@ -175,28 +183,54 @@ def test_unusable_input_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert "(at position 0)" not in err
 
 
 def test_malformed_spec_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.germ"
     bad.write_text("flavor = 3\n")
     assert run(["classify", str(bad), "--r", "1"]) == 2
-    assert "bad.germ:1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad.germ:1" in err
+    assert "(at position" not in err
+    # well-formed lines with values that fail the pair, r or poly rule
+    for command, text in [
+        ("singlepair", 'poly = "v^5 - u^3"\np = "5"\nq = 3\nr = 9\n'),
+        ("singlepair", 'poly = 5\np = 5\nq = 3\nr = 9\n'),
+        ("singlepair", 'poly = "v^5 - u^3"\np = 5\nq = 3\nr = 1.5\n'),
+        ("classify", 'pairs = [(3,5)]\nr = True\n'),
+    ]:
+        bad.write_text(text)
+        assert run([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(at position" not in err
 
 
 def test_precondition_failures_exit_3(capsys):
     # order >= 1: the configuration cannot contract
     assert run(["analyze", "--series", "u^(7/5)", "--r", "0"]) == 3
     assert "order >= 1" in capsys.readouterr().err
+    # one tangency rule: the same text from analyze and dualgraph
+    assert run(["analyze", "--pairs", "[(7,5)]", "--r", "0"]) == 3
+    analyze_err = capsys.readouterr().err
+    assert run(["dualgraph", "--pairs", "[(7,5)]", "--r", "0"]) == 3
+    assert capsys.readouterr().err == analyze_err
     # key forms need actual coefficients
     assert run(["keyforms", "--pairs", "[(3,5)]", "--r", "1"]) == 3
     assert run(["classify", "--series", "u + u^2", "--r", "1"]) == 3
 
 
 def test_argparse_rejects_unknown_subcommand():
-    with pytest.raises(SystemExit) as exc:
-        run(["frobnicate"])
-    assert exc.value.code == 2
+    for argv in (
+        ["frobnicate"],
+        # flags are spelled in full: no prefix of --r-max or --force-keyforms
+        ["sweep", "--pairs", "[(3,5)]", "--r", "1"],
+        ["sweep", "--pairs", "[(3,5)]", "--r-max", "3", "--r", "2"],
+        ["analyze", "--series", "u^(3/5)", "--r", "1", "--force"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

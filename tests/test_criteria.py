@@ -83,6 +83,12 @@ def test_alpha_input_validation():
             entry([], 0)
         with pytest.raises(PreconditionError, match="r = -1 must be a non-negative integer"):
             entry([(3, 5)], -1)
+        with pytest.raises(PreconditionError, match="r = True must be a non-negative integer"):
+            entry([(3, 5)], True)
+        # entries are ints, never truncated: (3.9, 5) is not read as (3, 5)
+        for bad in ([(3.9, 5)], [(3, 5.0)], [("3", 5)], [(3, 5), (23, "2")], [(True, 2)]):
+            with pytest.raises(PreconditionError, match="entries must be integers"):
+                entry(bad, 0)
     with pytest.raises(PreconditionError):
         alpha_invariant([(3, 5)], F(1, 2))
     with pytest.raises(PreconditionError):
@@ -402,6 +408,11 @@ def test_single_pair_test_validation():
         single_pair_test(f - parse_poly("x^(-1)"), 5, 3, 0)
     with pytest.raises(PreconditionError):
         single_pair_test(f, 5, 3, -1)
+    with pytest.raises(PreconditionError):
+        single_pair_test(f, 5, 3, True)
+    for p, q in ((5.0, 3), (5, 3.5), (5, "3")):
+        with pytest.raises(PreconditionError, match="entries must be integers"):
+            single_pair_test(f, p, q, 0)
 
 
 def test_single_pair_closed_form_values():
@@ -419,6 +430,13 @@ def test_single_pair_closed_form_values():
         single_pair_closed_form(2, 4, 0)
     with pytest.raises(PreconditionError):
         single_pair_closed_form(3, 5, -1)
+    with pytest.raises(PreconditionError):
+        single_pair_closed_form(3, 5, True)
+    with pytest.raises(PreconditionError, match="p must be >= 2"):
+        single_pair_closed_form(1, 1, 0)  # (1, 1) is not a characteristic pair
+    for q, p in ((3.5, 5), ("3", 5)):
+        with pytest.raises(PreconditionError, match="entries must be integers"):
+            single_pair_closed_form(q, p, 0)
 
 
 def test_single_pair_never_only_nonalgebraic():

@@ -290,8 +290,15 @@ def test_builder_preconditions():
         build_dual_graph([], 0)
     with pytest.raises(PreconditionError, match="r = -1 must be a non-negative integer"):
         build_dual_graph([(3, 5)], -1)
-    with pytest.raises(PreconditionError):
-        build_dual_graph([(7, 5)], 0)  # order >= 1
+    with pytest.raises(PreconditionError, match="r = True must be a non-negative integer"):
+        build_dual_graph([(3, 5)], True)
+    with pytest.raises(PreconditionError, match="entries must be integers"):
+        build_dual_graph([(3.5, 5)], 0)
+    with pytest.raises(PreconditionError, match="entries must be integers"):
+        build_dual_graph([(3, "5")], 0)
+    # the tangency text of the analyze subcommand (tests/test_cli.py)
+    with pytest.raises(PreconditionError, match=r"^the germ has order >= 1: the line's strict"):
+        build_dual_graph([(7, 5)], 0)
     with pytest.raises(PreconditionError):
         build_dual_graph([(3, 5), (1, 2)], 0)  # exponents must increase
     with pytest.raises(PreconditionError):
