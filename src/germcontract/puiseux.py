@@ -147,6 +147,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _pair_tuples(pairs) -> tuple:
+    """pairs as a tuple of (q, p) tuples, or PreconditionError."""
+    try:
+        return tuple((q, p) for q, p in pairs)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"pairs must be (q, p) tuples, not {pairs!r}") from None
+
+
 @dataclass(frozen=True)
 class CharacteristicData:
     """Characteristic pairs (q_k, p_k) plus the polydromy order p = prod p_k.
@@ -177,10 +185,7 @@ class CharacteristicData:
 
     @classmethod
     def from_pairs(cls, pairs) -> "CharacteristicData":
-        try:
-            pairs = tuple((q, p) for q, p in pairs)
-        except (TypeError, ValueError):
-            raise PreconditionError(f"pairs must be (q, p) tuples, not {pairs!r}") from None
+        pairs = _pair_tuples(pairs)
         # a non-integer p is left out of the product and reported by __post_init__
         return cls(pairs, prod(p for _, p in pairs if _is_int(p)))
 
@@ -211,21 +216,23 @@ def check_r(r) -> None:
 def local_pair_data(local_pairs) -> CharacteristicData:
     """The pairs as CharacteristicData (passed through if they already are),
     checked on the local side: at least one pair, positive q_k and strictly
-    increasing exponents q_k/(p_1..p_k)."""
-    data = (
-        local_pairs
-        if isinstance(local_pairs, CharacteristicData)
-        else CharacteristicData.from_pairs(local_pairs)
-    )
+    increasing exponents q_k/(p_1..p_k).
+
+    The q_k >= 1 rule is read before CharacteristicData's own checks, so a
+    pair (0, p) is refused by it rather than as not coprime."""
+    given = isinstance(local_pairs, CharacteristicData)
+    pairs = local_pairs.pairs if given else _pair_tuples(local_pairs)
+    for q, _ in pairs:
+        if _is_int(q) and q < 1:
+            raise PreconditionError(f"local pair with q = {q}: q must be >= 1")
+    data = local_pairs if given else CharacteristicData.from_pairs(pairs)
     if not data.pairs:
         raise PreconditionError("need at least one characteristic pair")
     exps = data.char_exponents()
-    for k, ((q, _), e) in enumerate(zip(data.pairs, exps)):
-        if q < 1:
-            raise PreconditionError(f"local pair with q = {q}: q must be >= 1")
-        if k and e <= exps[k - 1]:
+    for k in range(1, len(exps)):
+        if exps[k] <= exps[k - 1]:
             raise PreconditionError(
-                f"characteristic exponents must increase: {exps[k - 1]} then {e}"
+                f"characteristic exponents must increase: {exps[k - 1]} then {exps[k]}"
             )
     return data
 

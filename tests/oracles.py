@@ -19,6 +19,10 @@ quantity from first principles by a different route than the library:
 * ``negative_definite_oracle`` -- negative definiteness of a symmetric
   matrix by dense Gaussian elimination in the natural order, checking the
   sign of every leading principal minor (Sylvester's criterion), O(n^3).
+* ``product_oracle`` / ``evaluate_oracle`` -- sparse polynomial products and
+  substitutions term by term in Fraction arithmetic, on plain dicts from
+  exponent tuples to coefficients (the package multiplies integer
+  numerators over a common denominator).
 
 Run as a script to print the frozen values used in the deterministic tests.
 """
@@ -100,6 +104,36 @@ def decompose_bruteforce(
         if rest % omegas[0] == 0:
             out.append((rest // omegas[0], betas))
     return out
+
+
+# --- sparse polynomials ------------------------------------------------------
+
+
+def product_oracle(f: dict, g: dict) -> dict:
+    """f*g, one Fraction product per pair of terms; zero sums dropped."""
+    out: dict[tuple, Fraction] = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            out[k] = out.get(k, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {k: c for k, c in out.items() if c}
+
+
+def evaluate_oracle(f: dict, images: list[dict]) -> dict:
+    """f(images[0], ..., images[n-1]) with images[0] a one-term dict {m: c}:
+    x^a maps to c^a times the key a*m, also for negative a, and every other
+    variable is raised by repeated products, with nothing shared."""
+    ((m, cm),) = images[0].items()
+    out: dict[tuple, Fraction] = {}
+    for key, c in f.items():
+        a = key[0]
+        term = {tuple(a * e for e in m): Fraction(c) * Fraction(cm) ** a}
+        for j, e in enumerate(key[1:], 1):
+            for _ in range(e):
+                term = product_oracle(term, images[j])
+        for k, v in term.items():
+            out[k] = out.get(k, Fraction(0)) + v
+    return {k: c for k, c in out.items() if c}
 
 
 # --- dual graph by blow-up simulation ----------------------------------------

@@ -186,6 +186,15 @@ def test_unusable_input_exits_2(argv, capsys):
     assert "(at position 0)" not in err
 
 
+def test_zero_q_is_refused_by_the_q_rule(capsys):
+    for argv in (
+        ["singlepair", "--poly", "v^5 - u^3", "--p", "5", "--q", "0", "--r", "1"],
+        ["classify", "--pairs", "[(0,5)]", "--r", "1"],
+    ):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: local pair with q = 0: q must be >= 1\n"
+
+
 def test_malformed_spec_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.germ"
     bad.write_text("flavor = 3\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import decompose_bruteforce
+from oracles import decompose_bruteforce, evaluate_oracle, product_oracle
 from strategies import COEFFS
 
 from germcontract import keyforms
@@ -304,12 +304,12 @@ def _above(f: Poly, floor) -> dict:
 
 def _schoolbook(a: Poly, b: Poly) -> Poly:
     """a*b term by term, the reference for the cut products."""
-    out: dict = {}
-    for (i1, j1), c1 in a.terms.items():
-        for (i2, j2), c2 in b.terms.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return Poly(XI, out)
+    return Poly(a.names, product_oracle(a.terms, b.terms))
+
+
+def _fraction_valued(f: Poly) -> bool:
+    # == cannot tell an int from a Fraction: 3 == Fraction(3)
+    return all(type(c) is Fraction for c in f.terms.values())
 
 
 @st.composite
@@ -332,6 +332,58 @@ def test_cut_product_is_the_full_one_above_the_floor(a, b, floor):
     full = _schoolbook(a, b)
     assert a.mul(b, floor).terms == _above(full, floor)
     assert a * b == full
+
+
+LIFT = ("x", "y1", "y2", "y3")
+FLOORS = st.one_of(st.just(-inf), st.integers(-30, 20))
+
+
+@st.composite
+def lift_polys(draw, max_terms: int = 6):
+    """A polynomial keyed like a lift, (x, y1, y2, y3), x exponents from -6."""
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(-6, 4), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+            max_size=max_terms, unique=True,
+        )
+    )
+    return Poly(LIFT, {k: draw(st.sampled_from(COEFFS)) for k in keys})
+
+
+@WINDOW
+@given(f=lift_polys(), g=lift_polys(), floor=FLOORS)
+def test_integer_kernel_product_matches_the_oracle(f, g, floor):
+    # (f + g)(f - g) = f^2 - g^2: the cross terms cancel inside the product
+    for a, b in ((f, g), (f + g, f - g)):
+        got = a.mul(b, floor)
+        assert got.terms == _above(_schoolbook(a, b), floor)
+        assert _fraction_valued(got)
+    assert (f + g) * (f - g) == f * f - g * g
+
+
+@WINDOW
+@given(f=lift_polys(max_terms=4), n=st.integers(0, 4), floor=FLOORS)
+def test_integer_kernel_power_matches_the_oracle(f, n, floor):
+    full = Poly(LIFT, {(0, 0, 0, 0): 1})
+    for _ in range(n):
+        full = _schoolbook(full, f)
+    got = f.power(n, floor)
+    assert got.terms == _above(full, floor)
+    assert _fraction_valued(got)
+
+
+@WINDOW
+@given(
+    f=lift_polys(),
+    dx=st.integers(1, 6),
+    cm=st.sampled_from(COEFFS),
+    ys=st.lists(xi_series(max_terms=4), min_size=3, max_size=3),
+)
+def test_evaluate_matches_the_oracle(f, dx, cm, ys):
+    images = [Poly.monomial(XI, (dx, 0), cm), *ys]
+    got = f.evaluate(images)
+    assert got.terms == evaluate_oracle(f.terms, [i.terms for i in images])
+    assert got.names == XI and _fraction_valued(got)
 
 
 @WINDOW

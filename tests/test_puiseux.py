@@ -17,6 +17,7 @@ from germcontract import (
     parse_puiseux,
     puiseux_pairs,
 )
+from germcontract.puiseux import local_pair_data
 
 F = Fraction
 
@@ -210,6 +211,17 @@ def test_betas_are_the_scaled_char_exponents():
         assert data.betas() == tuple(data.polydromy * e for e in data.char_exponents())
         assert all(type(b) is int for b in data.betas())
     assert CharacteristicData.from_pairs([(3, 5), (23, 2)]).betas() == (6, 23)
+
+
+def test_local_q_rule_is_read_before_coprimality():
+    # gcd(0, p) = p, so (0, p) is also not coprime; the local rule names it
+    for pairs, q in [([(0, 5)], 0), ([(-3, 5)], -3), ([(0, 1)], 0), ([(3, 5), (0, 2)], 0)]:
+        with pytest.raises(PreconditionError, match=rf"^local pair with q = {q}: q must be >= 1$"):
+            local_pair_data(pairs)
+    with pytest.raises(PreconditionError, match=r"^pair \(2,4\) is not coprime$"):
+        local_pair_data([(2, 4)])
+    with pytest.raises(PreconditionError, match="entries must be integers"):
+        local_pair_data([(0.5, 5)])
 
 
 def test_characteristic_data_validation():
