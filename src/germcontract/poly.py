@@ -162,6 +162,8 @@ class Poly:
         cache: dict[tuple[int, int], Poly] = {}
         names = images[0].names
         ((m, cm),) = images[0].terms.items()
+        # numerators of the product of powers per exponent tuple of images[1:];
+        # no powers at all give 1
         prods = {(0,) * (len(self.names) - 1): ([((0,) * len(names), 1)], 1)}
         parts = []
         d = 1
