@@ -368,7 +368,7 @@ def single_pair_test(f: Poly, p: int, q_tilde: int, r: int) -> bool:
         raise PreconditionError("f must be a nonzero polynomial in u, v")
     alpha = p * q_tilde + r
     best = None
-    for (a, b) in f.terms:
+    for (a, b) in f.num:
         if a * p + b * q_tilde < alpha:
             best = a + b if best is None else max(best, a + b)
     return best is None or best <= p

@@ -314,8 +314,8 @@ def _xi_free_lead(s: Poly, message: str, **state) -> Fraction:
     lead = s.leading()
     if lead.deg(1) != 0:
         raise InvariantViolationError(message, coefficient=repr(lead), **state)
-    (c,) = lead.terms.values()
-    return c
+    (c,) = lead.num.values()
+    return Fraction(c, lead.den)
 
 
 def _stopping_exponent(s: Poly, floor, k: int, l: int, cum) -> int:
@@ -328,10 +328,10 @@ def _stopping_exponent(s: Poly, floor, k: int, l: int, cum) -> int:
     """
     if k < l:
         step = cum[-1] // cum[k - 1]
-        cand = [e for e, _ in s.terms if e % step and e >= floor]
+        cand = [e for e, _ in s.num if e % step and e >= floor]
         what = "exponent outside the current lattice"
     else:
-        cand = [e for e, d in s.terms if d >= 1 and e >= floor]
+        cand = [e for e, d in s.num if d >= 1 and e >= floor]
         what = "xi-dependent exponent"
     if not cand and floor > -inf:
         raise _WindowTooSmall

@@ -46,10 +46,12 @@ class PuiseuxPoly:
 
     Immutable after construction; zero coefficients are dropped, duplicate
     exponents rejected.  Supports either orientation; all exponent-order
-    conventions (significance, ord/deg) follow the orientation.
+    conventions (significance, ord/deg) follow the orientation.  The
+    characteristic pairs are walked once, by the first puiseux_pairs call,
+    and kept in _pairs.
     """
 
-    __slots__ = ("orientation", "_terms")
+    __slots__ = ("orientation", "_terms", "_pairs")
 
     def __init__(self, orientation: Orientation, terms):
         items = terms.items() if hasattr(terms, "items") else terms
@@ -64,6 +66,7 @@ class PuiseuxPoly:
             clean[e] = c
         object.__setattr__(self, "orientation", orientation)
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_pairs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxPoly is immutable")
@@ -259,7 +262,15 @@ def cumulative_products(pairs) -> tuple[int, ...]:
 
 
 def puiseux_pairs(phi: PuiseuxPoly) -> CharacteristicData:
-    """Extract the characteristic pairs of a nonzero series.
+    """Extract the characteristic pairs of a nonzero series.  The walk is
+    made on the first call and kept on the (immutable) series."""
+    if phi._pairs is None:
+        object.__setattr__(phi, "_pairs", _walk_pairs(phi))
+    return phi._pairs
+
+
+def _walk_pairs(phi: PuiseuxPoly) -> CharacteristicData:
+    """The characteristic pairs of phi.
 
     Walks the support in order of significance with a running lattice
     denominator D (starting at 1); an exponent outside (1/D)Z contributes the

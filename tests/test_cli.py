@@ -1,5 +1,6 @@
 """Frontend behavior: exit codes, output formats, spec files."""
 
+import hashlib
 import json
 import os
 import re
@@ -70,6 +71,38 @@ def test_keyforms_output(capsys):
     assert doc["all_forms"] == ["x", "y", "y^5 - x^2", "y^5 - 5*x^(-1)*y^4 - x^2"]
     assert doc["omegas"] == [5, 2, 2]
     assert doc["alphas"] == [5, 1]
+
+
+FOUR_PAIRS = "u^(5/7)+u^(11/14)+u^(23/28)+u^(47/56)"
+FIVE_PAIRS = FOUR_PAIRS + "+u^(95/112)"
+
+
+@pytest.mark.parametrize(
+    "argv,sha256",
+    [
+        (
+            ["keyforms", "--series", FOUR_PAIRS, "--r", "3", "--json", "--all"],
+            "fe3926dc3607edc6aaaab6cd8ed054bab0ba7804e7eb5d14d5edf0d5b15e18b4",
+        ),
+        (
+            ["analyze", "--series", FOUR_PAIRS, "--r", "3", "--json", "--force-keyforms"],
+            "4ca529cbdaecef74cd9fca6a83f10d08a6e28935f692759be5eb94cb7a06f7bc",
+        ),
+        (
+            ["keyforms", "--series", FIVE_PAIRS, "--r", "3", "--json", "--all"],
+            "a0103de1489ad5bf6b2584c97d119d59dddbbf2fca9afce030355dd0cc146122",
+        ),
+        (
+            ["analyze", "--series", FIVE_PAIRS, "--r", "3", "--json", "--force-keyforms"],
+            "e6ea95fd0a926c7e428aecb245100be302b655280645e3c04034d87e8e731ac7",
+        ),
+    ],
+)
+def test_multi_pair_json_bytes_are_pinned(capsys, argv, sha256):
+    """The 4- and 5-pair germs lie outside the benchmark corpus; their
+    documents were recorded from the Fraction-valued Poly store."""
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 def test_keyforms_text_lists_lifts(capsys):

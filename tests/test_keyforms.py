@@ -386,6 +386,59 @@ def test_evaluate_matches_the_oracle(f, dx, cm, ys):
     assert got.names == XI and _fraction_valued(got)
 
 
+def test_coefficients_are_numerators_over_one_denominator():
+    f = Poly(XY, {(0, 1): F(1, 2), (1, 0): F(-2, 3), (2, 0): 0})
+    assert (f.num, f.den) == ({(0, 1): 3, (1, 0): -4}, 6)
+    assert f.terms == {(0, 1): F(1, 2), (1, 0): F(-2, 3)} and _fraction_valued(f)
+    with pytest.raises(TypeError):
+        f.terms[(0, 1)] = F(1)  # a view: the numerators are the store
+    half = Poly.monomial(XY, (1, 0), F(1, 2))
+    assert ((half + half).num, (half + half).den) == ({(1, 0): 1}, 1)
+    assert ((half - half).num, (half - half).den) == ({}, 1)
+
+
+def _canonical(f: Poly) -> bool:
+    """den > 0, no zero numerator, nothing common to den and the numerators."""
+    ints = [f.den, *f.num.values()]
+    return (
+        all(type(v) is int for v in ints)
+        and f.den > 0
+        and all(f.num.values())
+        and gcd(*ints) == 1
+    )
+
+
+@WINDOW
+@given(
+    f=lift_polys(),
+    g=lift_polys(),
+    q=st.sampled_from(COEFFS),
+    n=st.integers(0, 3),
+    floor=FLOORS,
+    cm=st.sampled_from(COEFFS),
+    ys=st.lists(xi_series(max_terms=4), min_size=3, max_size=3),
+)
+def test_every_operation_keeps_the_canonical_form(f, g, q, n, floor, cm, ys):
+    got = [
+        f + g, f - g, -f, f.scale(q), f.scale(0),
+        f * g, f.mul(g, floor), (f + g).mul(f - g, floor),
+        f.power(n), f.power(n, floor),
+        f.evaluate([Poly.monomial(XI, (2, 0), cm), *ys]),
+    ]
+    if not f.is_zero():
+        got += [f.leading(i) for i in range(len(LIFT))]
+    for h in got:
+        assert _canonical(h), (h.num, h.den)
+
+
+@WINDOW
+@given(a=lift_polys(), b=lift_polys(), c=lift_polys(), q=st.sampled_from(COEFFS))
+def test_routes_to_one_polynomial_compare_and_hash_equal(a, b, c, q):
+    for left, right in (((a + b) * c, a * c + b * c), (a.scale(q).scale(1 / q), a)):
+        assert left == right and hash(left) == hash(right)
+        assert left.terms == right.terms
+
+
 @WINDOW
 @given(a=xi_series(max_terms=5), floor=st.integers(-90, 90), n=st.integers(0, 5))
 def test_cut_power_is_the_full_one_above_the_floor(a, floor, n):

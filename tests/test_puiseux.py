@@ -203,6 +203,20 @@ def test_pairs_of_zero_rejected():
         puiseux_pairs(PuiseuxPoly.zero(Orientation.LOCAL))
 
 
+def test_pairs_are_walked_once_per_series():
+    curve = parse_puiseux("u^(3/5) + u^(23/10)")
+    assert puiseux_pairs(curve) is puiseux_pairs(curve)
+    # an equal series built apart walks its own pairs, to the same result
+    again = parse_puiseux("u^(3/5) + u^(23/10)")
+    assert again == curve and hash(again) == hash(curve)
+    assert puiseux_pairs(again) == puiseux_pairs(curve)
+    # the zero series is refused on every call, not once
+    zero = PuiseuxPoly.zero(Orientation.LOCAL)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            puiseux_pairs(zero)
+
+
 def test_betas_are_the_scaled_char_exponents():
     grid = [[(q, p)] for p in range(2, 14) for q in range(1, 2 * p) if gcd(q, p) == 1]
     grid += [[(3, 5), (23, 2)], [(1, 2), (3, 2)], [(5, 3), (-13, 2)], [(1, 2), (3, 2), (7, 2)]]
