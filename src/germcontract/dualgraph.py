@@ -18,9 +18,16 @@ and reports what remains.  The graph is a forest, so Grauert's criterion
 (the intersection form is negative definite) is decided by eliminating one
 leaf at a time, in Fractions, with no dense matrix arithmetic.
 
-The test suite compares this against a simulation of the blow-ups on an
-exact parametrization of the germ, and the definiteness test against dense
-leading-principal-minor elimination (tests/oracles.py).
+The vertices are numbered in order of appearance while the graph is built,
+and their labels (Ltilde, E1, E2, ...) are made once at the end.  The JSON
+export writes the text of json.dumps(doc, sort_keys=True, indent=2) itself,
+one f-string per vertex and per edge: with an indent json.dumps runs its
+pure-Python encoder, which would cost more than building the graph.
+
+The test suite compares the graph against a simulation of the blow-ups on
+an exact parametrization of the germ, the definiteness test against dense
+leading-principal-minor elimination and the JSON export against json.dumps
+byte for byte (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import InvariantViolationError, PreconditionError
 from .puiseux import check_r, check_tangent, local_pair_data
@@ -85,35 +93,31 @@ def build_dual_graph(local_pairs, r: int) -> DualGraph:
     gaps = iter([b - a for a, b in zip(betas, betas[1:])])
     oa, ob = data.polydromy, betas[0]  # ob is None once b vanishes on the branch
 
-    weights = {"Ltilde": 1}  # a line in the plane starts at +1
-    order = ["Ltilde"]
-    edges: set[frozenset[str]] = set()
-    axis_a: str | None = "Ltilde"  # the curve {a = 0} currently is
-    axis_b: str | None = None  # the curve {b = 0} currently is
+    weights = [1]  # vertex 0 is the line, which starts at +1 in the plane
+    edges: set[tuple[int, int]] = set()  # (i, j) with i < j
+    axis_a: int | None = 0  # the curve {a = 0} currently is
+    axis_b: int | None = None  # the curve {b = 0} currently is
 
     def blow_up() -> None:
         nonlocal oa, ob, axis_a, axis_b
-        label = f"E{len(order)}"
-        order.append(label)
-        weights[label] = -1
+        new = len(weights)
+        weights.append(-1)
+        if axis_a is not None and axis_b is not None:
+            edges.discard((min(axis_a, axis_b), max(axis_a, axis_b)))
         for ax in (axis_a, axis_b):
             if ax is not None:
                 weights[ax] -= 1
-        if axis_a is not None and axis_b is not None:
-            edges.discard(frozenset((axis_a, axis_b)))
-        for ax in (axis_a, axis_b):
-            if ax is not None:
-                edges.add(frozenset((label, ax)))
+                edges.add((ax, new))
         if ob is None or oa < ob:
             if ob is not None:
                 ob -= oa
-            axis_a = label
+            axis_a = new
         elif ob < oa:
             oa -= ob
-            axis_b = label
+            axis_b = new
         else:
             ob = next(gaps, None)
-            axis_a = label
+            axis_a = new
             axis_b = None
 
     # minimal embedded resolution: stop once the branch is transverse to a
@@ -123,22 +127,14 @@ def build_dual_graph(local_pairs, r: int) -> DualGraph:
     for _ in range(r):
         blow_up()
 
-    estar = order.pop()
-    attach = sorted(
-        (next(iter(e - {estar})) for e in edges if estar in e),
-        key=order.index,
-    )
-    remaining = [e for e in edges if estar not in e]
+    estar = len(weights) - 1  # the last vertex, so j == estar on its edges
     del weights[estar]
-
-    index = {lab: i for i, lab in enumerate(order)}
     vertices = tuple(
-        DGVertex(lab, weights[lab], lab == "Ltilde") for lab in order
+        DGVertex(f"E{i}" if i else "Ltilde", w, i == 0) for i, w in enumerate(weights)
     )
-    edge_idx = tuple(
-        sorted(tuple(sorted((index[x], index[y]))) for x, y in remaining)
-    )
-    graph = DualGraph(vertices, edge_idx, tuple(attach))
+    edge_list = sorted(edges)
+    attach = tuple(vertices[i].label for i, j in edge_list if j == estar)
+    graph = DualGraph(vertices, tuple(e for e in edge_list if e[1] != estar), attach)
 
     for v in graph.vertices:
         if v.weight > -1:
@@ -235,7 +231,13 @@ def is_negative_definite(matrix) -> bool:
 
 def export_graph(g: DualGraph, format: str = "dot") -> str:
     """Serialize: DOT (vertices in creation order, weights as labels) or
-    JSON (schema: vertices / edges by index / estar_attachment)."""
+    JSON (schema: vertices / edges by index / estar_attachment).
+
+    The JSON text is written directly and equals json.dumps(doc,
+    sort_keys=True, indent=2) of the document, byte for byte: keys in
+    sorted order, two-space indent, labels escaped to ASCII by the json
+    module's own string encoder and [] for an empty list.  The test suite
+    checks it against that json.dumps call (tests/oracles.py)."""
     fmt = format.lower()
     if fmt == "dot":
         lines = ["graph G {"]
@@ -246,16 +248,24 @@ def export_graph(g: DualGraph, format: str = "dot") -> str:
         lines.append("}")
         return "\n".join(lines)
     if fmt == "json":
-        doc = {
-            "vertices": [
-                {"label": v.label, "weight": v.weight, "is_Ltilde": v.is_Ltilde}
-                for v in g.vertices
-            ],
-            "edges": [list(e) for e in g.edges],
-            "estar_attachment": list(g.estar_attachment),
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
+        edges = [f"    [\n      {i},\n      {j}\n    ]" for i, j in g.edges]
+        attach = [f"    {_json_str(lab)}" for lab in g.estar_attachment]
+        vertices = [
+            f'    {{\n      "is_Ltilde": {"true" if v.is_Ltilde else "false"},\n'
+            f'      "label": {_json_str(v.label)},\n      "weight": {v.weight}\n    }}'
+            for v in g.vertices
+        ]
+        return (
+            f'{{\n  "edges": {_json_list(edges)},\n'
+            f'  "estar_attachment": {_json_list(attach)},\n'
+            f'  "vertices": {_json_list(vertices)}\n}}'
+        )
     raise PreconditionError(f"unknown format {format!r} (dot or json)")
+
+
+def _json_list(items: list[str]) -> str:
+    """A JSON array at indent level 1 from its already indented items."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def parse_graph_json(text: str) -> DualGraph:

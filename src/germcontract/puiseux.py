@@ -48,7 +48,8 @@ class PuiseuxPoly:
     exponents rejected.  Supports either orientation; all exponent-order
     conventions (significance, ord/deg) follow the orientation.  The
     characteristic pairs are walked once, by the first puiseux_pairs call,
-    and kept in _pairs.
+    and kept in _pairs; keep_above and local_to_degreewise set them without
+    a walk when they are known.
     """
 
     __slots__ = ("orientation", "_terms", "_pairs")
@@ -106,12 +107,18 @@ class PuiseuxPoly:
             raise PreconditionError("deg of the zero series is undefined")
         return max(self._terms)
 
-    def keep_above(self, threshold) -> "PuiseuxPoly":
-        """Sub-sum of terms with exponent strictly greater than threshold."""
+    def keep_above(self, threshold, pairs=None) -> "PuiseuxPoly":
+        """Sub-sum of terms with exponent strictly greater than threshold.
+        A caller that knows the characteristic pairs of the result passes
+        them as pairs (CharacteristicData, not checked) to spare the walk;
+        they are dropped when the result is zero, which has none."""
         t = Fraction(threshold)
-        return PuiseuxPoly(
+        out = PuiseuxPoly(
             self.orientation, {e: c for e, c in self._terms.items() if e > t}
         )
+        if out._terms:
+            object.__setattr__(out, "_pairs", pairs)
+        return out
 
     def with_term(self, e, c) -> "PuiseuxPoly":
         """Copy with one extra term (the exponent must be fresh)."""
@@ -297,12 +304,22 @@ def _walk_pairs(phi: PuiseuxPoly) -> CharacteristicData:
 
 
 def local_to_degreewise(phi: PuiseuxPoly) -> PuiseuxPoly:
-    """c*u^e  ->  c*x^(1-e)."""
+    """c*u^e  ->  c*x^(1-e).
+
+    When the pairs of phi have been walked, the result gets its pairs from
+    them: e and 1 - e have the same denominator and the map keeps the order
+    of significance, so each local pair (q_k, p_k) becomes the degree-wise
+    pair (p_1..p_k - q_k, p_k)."""
     if phi.orientation is not Orientation.LOCAL:
         raise PreconditionError("expected a local series")
-    return PuiseuxPoly(
+    psi = PuiseuxPoly(
         Orientation.DEGREEWISE, {1 - e: c for e, c in phi.terms.items()}
     )
+    data = phi._pairs
+    if data is not None:
+        pairs = tuple((cp - q, p) for (q, p), cp in zip(data.pairs, data.cumulative_p()))
+        object.__setattr__(psi, "_pairs", CharacteristicData(pairs, data.polydromy))
+    return psi
 
 
 def degreewise_to_local(psi: PuiseuxPoly) -> PuiseuxPoly:

@@ -155,7 +155,9 @@ def generic_dps_from_curve(psi: PuiseuxPoly, r: int) -> GenericDPS:
         )
     last = data.char_exponents()[-1]
     cut = last - Fraction(r, data.polydromy)
-    return GenericDPS(psi.keep_above(cut), cut)
+    # the terms above the cut carry every pair for r >= 1, all but the last for r = 0
+    kept = CharacteristicData.from_pairs(data.pairs if r else data.pairs[:-1])
+    return GenericDPS(psi.keep_above(cut, kept), cut)
 
 
 def substitute(f: Poly, g: GenericDPS) -> Poly:

@@ -19,6 +19,9 @@ quantity from first principles by a different route than the library:
 * ``negative_definite_oracle`` -- negative definiteness of a symmetric
   matrix by dense Gaussian elimination in the natural order, checking the
   sign of every leading principal minor (Sylvester's criterion), O(n^3).
+* ``graph_json_oracle`` -- the JSON export of a dual graph as the standard
+  library writes it: ``json.dumps`` of the document with sorted keys and an
+  indent of 2 (the package writes the same text itself).
 * ``product_oracle`` / ``evaluate_oracle`` -- sparse polynomial products and
   substitutions term by term in Fraction arithmetic, on plain dicts from
   exponent tuples to coefficients (the package multiplies integer
@@ -30,6 +33,7 @@ Run as a script to print the frozen values used in the deterministic tests.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -319,6 +323,20 @@ def negative_definite_oracle(matrix) -> bool:
                 for j in range(k, n):
                     a[i][j] -= f * a[k][j]
     return True
+
+
+def graph_json_oracle(g) -> str:
+    """export_graph(g, "json") by way of json.dumps: the document as a
+    dict, keys sorted, two-space indent."""
+    doc = {
+        "vertices": [
+            {"label": v.label, "weight": v.weight, "is_Ltilde": v.is_Ltilde}
+            for v in g.vertices
+        ],
+        "edges": [list(e) for e in g.edges],
+        "estar_attachment": list(g.estar_attachment),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 if __name__ == "__main__":

@@ -130,6 +130,32 @@ def test_dualgraph_json_round_trip(capsys):
     assert g.estar_attachment == ref.estar_attachment
 
 
+@pytest.mark.parametrize(
+    "pairs,r,size,sha256",
+    [
+        (
+            "[(3,5),(23,2)]",
+            "40",
+            6069,
+            "85e675609e0869543fc48d9bd109321ea2cc860eb789ff52b83ef93b98482d32",
+        ),
+        (
+            "[(1,2)]",
+            "20000",
+            2386963,
+            "2a37225e8cb5e51a44c93e0b14463b67c29ae889718ddf4040b484f0907fe972",
+        ),
+    ],
+)
+def test_dualgraph_json_bytes_are_pinned(capsys, pairs, r, size, sha256):
+    """Recorded from json.dumps(doc, sort_keys=True, indent=2), before the
+    export wrote the document itself; the second graph has 20,001 vertices."""
+    assert run(["dualgraph", "--pairs", pairs, "--r", r, "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == size
+    assert hashlib.sha256(out).hexdigest() == sha256
+
+
 def test_dualgraph_json_flag_aliases_format(capsys):
     assert run(["dualgraph", "--pairs", "[(3,5)]", "--r", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

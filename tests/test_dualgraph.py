@@ -1,13 +1,15 @@
 """Weighted dual graphs: construction, Grauert check, exports."""
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from oracles import dual_graph_oracle, negative_definite_oracle
+from oracles import dual_graph_oracle, graph_json_oracle, negative_definite_oracle
 
 from germcontract import (
+    DGVertex,
     DualGraph,
     PreconditionError,
     build_dual_graph,
@@ -234,6 +236,19 @@ def test_negative_definite_matches_the_dense_oracle():
     assert min(answers.values()) > 500
 
 
+@pytest.mark.parametrize("scale", [Fraction(1, 3), 0.5])
+def test_negative_definite_takes_fractions_and_floats(scale):
+    """A positive multiple has the same answer; 0.5 scales the integers
+    exactly, so the float path is checked against the same oracle."""
+    answers = {True: 0, False: 0}
+    for m in _seeded_symmetric_matrices(1000, 20261021):
+        scaled = [[scale * a for a in row] for row in m]
+        answer = is_negative_definite(scaled)
+        assert answer == negative_definite_oracle(scaled) == is_negative_definite(m), m
+        answers[answer] += 1
+    assert min(answers.values()) > 150
+
+
 def test_grauert_matches_alpha_criterion():
     for p in range(2, 14):
         for q in range(1, p):
@@ -277,6 +292,43 @@ def test_json_round_trip():
         ]
         # serialization is deterministic
         assert export_graph(back, "json") == text
+
+
+def test_json_export_matches_json_dumps():
+    """The directly written JSON against json.dumps(doc, sort_keys=True,
+    indent=2), byte for byte."""
+    single = [
+        ([(q, p)], r)
+        for p in range(2, 14)
+        for q in range(1, p)
+        if gcd(q, p) == 1
+        for r in (0, 1, 2, 5, 13, 40)
+    ]
+    multi = list(_seeded_multi_pair_germs(150, 20261018))
+    for pairs, r in single + multi:
+        g = build_dual_graph(pairs, r)
+        assert export_graph(g, "json") == graph_json_oracle(g), (pairs, r)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        DualGraph((), (), ()),
+        DualGraph((DGVertex("Ltilde", -1, True), DGVertex("E1", -2)), (), ()),
+        DualGraph((DGVertex("E1", -3), DGVertex("E2", -2)), ((0, 1),), ()),
+        DualGraph(
+            (DGVertex('say "Grauert"', -2), DGVertex("Fläché", -5, True)),
+            ((0, 1),),
+            ('say "Grauert"', "Fläché"),
+        ),
+    ],
+    ids=["empty", "no-edges", "no-attachment", "quote-and-non-ascii"],
+)
+def test_json_export_of_hand_made_graphs(g):
+    text = export_graph(g, "json")
+    assert text == graph_json_oracle(g)
+    assert text.isascii()
+    assert parse_graph_json(text) == g
 
 
 def test_export_rejects_unknown_format():

@@ -1,5 +1,6 @@
 """Generic series, substitution, and the induced semidegree."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,14 @@ from germcontract import (
     PuiseuxPoly,
     SeriesParseError,
     generic_dps_from_curve,
+    local_to_degreewise,
     parse_poly,
     parse_puiseux,
+    puiseux_pairs,
     semidegree_eval,
     substitute,
 )
+from germcontract.puiseux import _walk_pairs
 
 F = Fraction
 XY = ("x", "y")
@@ -156,6 +160,39 @@ def test_generic_dps_keeps_lattice_terms_out_of_the_pairs():
     # but stays a term of phi when the cut is below it
     g = generic_dps_from_curve(six_term_series(), 3)
     assert g.phi.coeff(F(-7, 3)) == 1
+
+
+def _seeded_local_series(count: int, seed: int):
+    """Local series of 1-5 terms with exponents a/b, b <= 12: characteristic
+    terms, terms in the lattice of the ones before them and integer terms
+    all occur."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            b = rng.randint(1, 12)
+            terms[F(rng.randint(1, 3 * b), b)] = F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        yield PuiseuxPoly(Orientation.LOCAL, terms)
+
+
+def test_known_pairs_are_passed_on_not_walked_again():
+    """The degree-wise pairs set by local_to_degreewise, and the pairs of the
+    kept part set by generic_dps_from_curve, against a fresh walk."""
+    seen = 0
+    for curve in _seeded_local_series(400, 20261018):
+        assert local_to_degreewise(curve)._pairs is None  # nothing known yet
+        if not puiseux_pairs(curve).pairs:
+            continue
+        psi = local_to_degreewise(curve)
+        assert psi._pairs == _walk_pairs(psi), curve
+        for r in (0, 1, 3):
+            g = generic_dps_from_curve(psi, r)
+            if g.phi.is_zero():
+                assert g.phi._pairs is None and g.phi_pairs.pairs == ()
+            else:
+                assert g.phi._pairs == _walk_pairs(g.phi) == g.phi_pairs, (curve, r)
+        seen += 1
+    assert seen > 250
 
 
 def test_generic_dps_preconditions():
