@@ -246,7 +246,7 @@ def cmd_keyforms(args) -> int:
             "key forms need the series itself (coefficients matter), not just pairs"
         )
     g = generic_dps_from_curve(local_to_degreewise(spec.series), spec.r)
-    keys = essential_key_forms(g, want_all=args.all)
+    keys = essential_key_forms(g)
     if args.json:
         doc = {
             "forms": [f.format() for f in keys.forms],
@@ -255,7 +255,7 @@ def cmd_keyforms(args) -> int:
             "alphas": list(keys.alphas),
         }
         if args.all:
-            doc["all_forms"] = [f.format() for f in keys.all_forms]
+            doc["all_forms"] = [f.format() for f, _ in keys.chain()]
         _emit(doc)
         return EXIT_OK
     for k, f in enumerate(keys.forms):
@@ -266,8 +266,9 @@ def cmd_keyforms(args) -> int:
     print("alphas: " + ", ".join(str(a) for a in keys.alphas))
     if args.all:
         print("full chain:")
-        for f in keys.all_forms:
-            print(f"  {f.format()}")
+        for f, w in keys.chain():
+            tag = ", essential" if f in keys.forms else ""
+            print(f"  {f.format()}  [pole order {w}{tag}]")
     return EXIT_OK
 
 

@@ -257,20 +257,21 @@ def witness_curves(local_pairs, r: int, classification=None) -> tuple[WitnessCur
     the new exponent strictly below the next characteristic one.
 
     classification, when given (either the enum value or a full
-    SemigroupReport), must agree with what (pairs, r) actually computes.
+    SemigroupReport), must agree with what (pairs, r) actually computes; a
+    report is checked by its virtual poles, which (pairs, r) fix.
     """
     data = local_pair_data(local_pairs)
-    report = None
     if isinstance(classification, SemigroupReport):
         report = classification
-        classification = report.classification
-    if report is None:
+        if report.poles != virtual_poles(data, r):
+            raise PreconditionError("the given report is not the one of these pairs and r")
+    else:
         report = semigroup_conditions(data, r)
-    if classification is not None and classification is not report.classification:
-        raise PreconditionError(
-            f"requested classification {classification} does not match the "
-            f"computed {report.classification}"
-        )
+        if classification is not None and classification is not report.classification:
+            raise PreconditionError(
+                f"requested classification {classification} does not match the "
+                f"computed {report.classification}"
+            )
     if report.classification is Classification.NOT_CONTRACTIBLE:
         return ()
     exps = data.char_exponents()

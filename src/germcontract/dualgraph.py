@@ -38,13 +38,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 from .errors import InvariantViolationError, PreconditionError
 from .puiseux import check_r, check_tangent, local_pair_data
 
 
-@dataclass(frozen=True)
-class DGVertex:
+class DGVertex(NamedTuple):
     label: str
     weight: int
     is_Ltilde: bool = False

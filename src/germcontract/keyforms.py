@@ -34,6 +34,7 @@ the omegas stay an independent check of virtual_poles.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
@@ -49,24 +50,50 @@ class EssentialKeyForms:
 
     forms[k] is the k-th essential key form in Q[x, x^-1, y] (forms[0] = x),
     lifts[k-1] its expression in the previous forms, omegas the pole values
-    delta(f_k) (omega_0 = delta_x through omega_{l+1}), alphas the formal
-    pair p's.  all_forms, when requested, is the full chain including the
-    head truncations of f_1 and every intermediate absorption state.
+    delta(f_k) (omega_0 = delta_x through omega_{l+1}).
     """
 
     source: GenericDPS
     forms: tuple[Poly, ...]
     lifts: tuple[Poly, ...]
     omegas: tuple[int, ...]
-    alphas: tuple[int, ...]
-    all_forms: tuple[Poly, ...] | None = None
 
     @property
     def l(self) -> int:
         return len(self.forms) - 2
 
+    @property
+    def alphas(self) -> tuple[int, ...]:
+        """The formal pair p's."""
+        return tuple(p for _, p in self.source.formal_pairs)
+
     def last(self) -> Poly:
         return self.forms[-1]
+
+    def chain(self) -> Iterator[tuple[Poly, int]]:
+        """The full key-form chain with the pole order of each form.
+
+        x, then y and the head truncations of f_1, then for each later level
+        the partial sums of its lift after the leading power, in order of
+        decreasing weight a*omega_0 + sum b_j*omega_j (the order in which the
+        engine absorbed them), each projected through evaluate.  A form's
+        pole order is the weight of the lift's next term, or omega_{k+1}
+        after the last term of level k; the last form of each level is the
+        essential f_{k+1}.
+        """
+        def weight(key) -> int:
+            return sum(e * w for e, w in zip(key, self.omegas))
+
+        yield self.forms[0], self.omegas[0]
+        y = Poly.monomial(XY, (0, 1))
+        for k, lift in enumerate(self.lifts):
+            images = self.forms[: k + 1] if k else (self.forms[0], y)
+            # the leading power is the one term of full degree in the last y
+            top = lift.deg(len(lift.names) - 1)
+            terms = sorted(lift.terms.items(), key=lambda t: (t[0][-1] != top, -weight(t[0])))
+            for n in range(1 if k == 0 else 2, len(terms) + 1):
+                pole = weight(terms[n][0]) if n < len(terms) else self.omegas[k + 1]
+                yield Poly(lift.names, dict(terms[:n])).evaluate(images), pole
 
 
 def is_polynomial(f: Poly) -> bool:
@@ -141,24 +168,19 @@ def _integer_head(g: GenericDPS) -> list[tuple[Fraction, Fraction]]:
     return head
 
 
-def essential_key_forms(g: GenericDPS, want_all: bool = False) -> EssentialKeyForms:
+def essential_key_forms(g: GenericDPS) -> EssentialKeyForms:
     """Run the full construction on a generic degree-wise series."""
     pairs = g.formal_pairs
 
     x = Poly.monomial(XY, (1, 0))
     head = _integer_head(g)
-    f1 = Poly.monomial(XY, (0, 1))
-    chain: list[Poly] = [x, f1]
-    for e, c in head:
-        f1 = f1 - Poly.monomial(XY, (int(e), 0), c)
-        chain.append(f1)
-    forms: list[Poly] = [x, f1]
     # F_1 is f_1 with y written as y_1 (there is no previous y-form to lift to)
     lifts: list[Poly] = [
         Poly(_lift_names(1), {(0, 1): 1, **{(int(e), 0): -c for e, c in head}})
     ]
+    forms: list[Poly] = [x, lifts[0].evaluate((x, Poly.monomial(XY, (0, 1))))]
 
-    subs = (substitute(x, g), substitute(f1, g))
+    subs = (substitute(x, g), substitute(forms[1], g))
     width = _FIRST_WIDTH
     while True:
         try:
@@ -168,23 +190,15 @@ def essential_key_forms(g: GenericDPS, want_all: bool = False) -> EssentialKeyFo
             width *= 2
 
     for k, level in enumerate(steps, start=1):
-        names = _lift_names(k)
         lift = {(0,) * k + (pairs[k - 1][1],): Fraction(1)}
         for key, coef in level:
             lift[key] = lift.get(key, 0) - coef
-            if want_all:
-                chain.append(Poly(names, lift).evaluate(forms))
-        lift = Poly(names, lift)
+        lift = Poly(_lift_names(k), lift)
         lifts.append(lift)
-        forms.append(chain[-1] if want_all else lift.evaluate(forms))
+        forms.append(lift.evaluate(forms))
 
     result = EssentialKeyForms(
-        source=g,
-        forms=tuple(forms),
-        lifts=tuple(lifts),
-        omegas=tuple(omegas),
-        alphas=tuple(p for _, p in pairs),
-        all_forms=tuple(chain) if want_all else None,
+        source=g, forms=tuple(forms), lifts=tuple(lifts), omegas=tuple(omegas)
     )
     _check_gcd_structure(result)
     return result
@@ -366,4 +380,4 @@ def _check_gcd_structure(keys: EssentialKeyForms) -> None:
 def all_key_forms(g: GenericDPS) -> tuple[Poly, ...]:
     """The full key-form chain: x, the head truncations of f_1, and every
     intermediate absorption state, ending at the last essential form."""
-    return essential_key_forms(g, want_all=True).all_forms
+    return tuple(f for f, _ in essential_key_forms(g).chain())

@@ -112,6 +112,18 @@ def test_keyforms_text_lists_lifts(capsys):
     assert "pole orders: 5, 2" in out
 
 
+def test_keyforms_text_full_chain(capsys):
+    """The intermediate y^5 - x^2 has pole order 3 and is not essential."""
+    assert run(["keyforms", "--series", "u^(3/5) + u^2", "--r", "8", "--all"]) == 0
+    out = capsys.readouterr().out
+    assert out.split("full chain:\n", 1)[1].splitlines() == [
+        "  x  [pole order 5, essential]",
+        "  y  [pole order 2, essential]",
+        "  y^5 - x^2  [pole order 3]",
+        "  y^5 - 5*x^(-1)*y^4 - x^2  [pole order 2, essential]",
+    ]
+
+
 def test_dualgraph_dot_default(capsys):
     assert run(["dualgraph", "--pairs", "[(3,5)]", "--r", "0"]) == 0
     out = capsys.readouterr().out
@@ -384,14 +396,6 @@ def test_importing_the_main_module_runs_nothing():
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def test_chain_trace_script_smoke():
-    proc = _run_pinned(
-        [sys.executable, str(SCRIPTS / "chain_trace.py"), "--series", "u^(3/5) + u^2", "--r", "8"]
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "essential chain: x; y; y^5 - 5*x^(-1)*y^4 - x^2" in proc.stdout
 
 
 def test_classification_census_script_check():

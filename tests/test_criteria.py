@@ -300,6 +300,17 @@ def test_witness_classification_cross_check():
     assert witness_curves([(3, 5)], 8, Classification.BOTH)
 
 
+@pytest.mark.parametrize(
+    "pairs,r,report_of",
+    [([(3, 5)], 9, ([(2, 3)], 1)), ([(2, 3)], 1, ([(3, 5)], 9))],
+)
+def test_witness_refuses_a_report_of_other_input(pairs, r, report_of):
+    """(3,5) at r = 9 is class Both, (2,3) at r = 1 only algebraic: a report
+    of the one must not be taken for the other."""
+    with pytest.raises(PreconditionError, match="not the one of these pairs"):
+        witness_curves(pairs, r, semigroup_conditions(*report_of))
+
+
 def test_witness_round_trips_through_the_pipeline():
     for pairs, r in [(((3, 5),), 8), (((3, 5),), 5), (TWO_PAIR, 1)]:
         for w in witness_curves(pairs, r):

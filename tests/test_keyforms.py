@@ -45,7 +45,7 @@ SIX_TERM = "x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)"
 def worked():
     """The flagship three-level series with the generic position at -8/3."""
     g = generic_dps_from_curve(parse_puiseux(SIX_TERM), 3)
-    return g, essential_key_forms(g, want_all=True)
+    return g, essential_key_forms(g)
 
 
 def test_worked_chain_shape(worked):
@@ -129,9 +129,11 @@ def test_worked_constant_term_is_forced(worked):
 
 def test_worked_full_chain_starts_with_the_head_truncations(worked):
     _, keys = worked
-    x, y = X, Y
-    assert keys.all_forms[:4] == (x, y, parse_poly("y - x^3"), parse_poly("y - x^3 - x^2"))
-    assert keys.all_forms[-1] == keys.forms[-1]
+    chain = list(keys.chain())
+    assert chain[:4] == [
+        (X, 6), (Y, 18), (parse_poly("y - x^3"), 12), (parse_poly("y - x^3 - x^2"), 10)
+    ]
+    assert chain[-1] == (keys.forms[-1], keys.omegas[-1])
 
 
 def test_worked_monic_with_expected_y_degrees(worked):
@@ -199,9 +201,9 @@ def test_perturbed_cusp_essential_forms_skip_the_absorbed_step():
     """At r = 8 the intermediate y^5 - x^2 has a trivial jump (gcd(5,2) = 1),
     so the essential subsequence keeps only x, y and the final form."""
     g = generic_dps_from_curve(local_to_degreewise(parse_puiseux("u^(3/5) + u^2")), 8)
-    keys = essential_key_forms(g, want_all=True)
+    keys = essential_key_forms(g)
     assert keys.forms == (X, Y, Y5X2TAIL)
-    assert keys.all_forms == (X, Y, Y5X2, Y5X2TAIL)
+    assert list(keys.chain()) == [(X, 5), (Y, 2), (Y5X2, 3), (Y5X2TAIL, 2)]
     assert keys.omegas == (5, 2, 2)
     assert keys.alphas == (5, 1)
 

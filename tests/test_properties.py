@@ -55,8 +55,12 @@ def test_chain_poles_match_the_closed_form(curve, r):
     g = generic_dps_from_curve(local_to_degreewise(curve), r)
     keys = essential_key_forms(g)
     assert keys.omegas == vp.omegas + (vp.generic_pole,)
-    for f, w in zip(keys.forms, keys.omegas):
+    chain = list(keys.chain())
+    for f, w in chain:
         assert semidegree_eval(f, g) == w
+    # the forms of a level share the y-degree of its essential form and end on it
+    last = {f.deg(1): (f, w) for f, w in chain}
+    assert list(last.values()) == list(zip(keys.forms, keys.omegas))
 
 
 @BREADTH
