@@ -37,10 +37,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 
 from .errors import InvariantViolationError, PreconditionError
-from .poly import Poly
+from .poly import Poly, _canonical
 from .semidegree import XI, XY, GenericDPS, substitute
 
 
@@ -152,20 +152,23 @@ def omega_decompose(n: int, k: int, keys: EssentialKeyForms) -> tuple[int, tuple
     return _decompose_weight(n * scale, keys.omegas[: k + 1], ps)
 
 
-def _integer_head(g: GenericDPS) -> list[tuple[Fraction, Fraction]]:
-    """Terms of phi above the first formal exponent, most significant first.
-    Their exponents are integral by construction of the pairs."""
-    e1 = g.formal_exponents()[0]
-    head = [(e, c) for e, c in g.phi.terms.items() if e > e1]
-    head.sort(key=lambda t: -t[0])
-    for e, _ in head:
-        if e.denominator != 1:
+def _integer_head(g: GenericDPS) -> tuple[list[tuple[int, int]], int]:
+    """Terms of phi above the first formal exponent q_1/p_1, most
+    significant first, as (exponent, coefficient numerator) pairs over
+    phi's coefficient denominator, which is returned beside them.  Their
+    exponents are integral by construction of the pairs."""
+    phi = g.phi
+    d = phi._den
+    q1, p1 = g.formal_pairs[0]
+    head = [(n, c) for n, c in phi._num.items() if n * p1 > q1 * d]
+    for n, _ in head:
+        if n % d:
             raise InvariantViolationError(
                 "fractional exponent above the first formal exponent",
-                exponent=e,
-                first_formal=e1,
+                exponent=Fraction(n, d),
+                first_formal=Fraction(q1, p1),
             )
-    return head
+    return [(n // d, c) for n, c in head], phi._cden
 
 
 def essential_key_forms(g: GenericDPS) -> EssentialKeyForms:
@@ -173,10 +176,10 @@ def essential_key_forms(g: GenericDPS) -> EssentialKeyForms:
     pairs = g.formal_pairs
 
     x = Poly.monomial(XY, (1, 0))
-    head = _integer_head(g)
+    head, hd = _integer_head(g)
     # F_1 is f_1 with y written as y_1 (there is no previous y-form to lift to)
     lifts: list[Poly] = [
-        Poly(_lift_names(1), {(0, 1): 1, **{(int(e), 0): -c for e, c in head}})
+        _canonical(_lift_names(1), {(0, 1): hd, **{(e, 0): -c for e, c in head}}, hd)
     ]
     forms: list[Poly] = [x, lifts[0].evaluate((x, Poly.monomial(XY, (0, 1))))]
 
@@ -190,10 +193,14 @@ def essential_key_forms(g: GenericDPS) -> EssentialKeyForms:
             width *= 2
 
     for k, level in enumerate(steps, start=1):
-        lift = {(0,) * k + (pairs[k - 1][1],): Fraction(1)}
-        for key, coef in level:
-            lift[key] = lift.get(key, 0) - coef
-        lift = Poly(_lift_names(k), lift)
+        # x^0 y_k^p_k minus the absorbed terms, over the lcm of their denominators
+        d = 1
+        for _, (_, cd) in level:
+            d = lcm(d, cd)
+        lift = {(0,) * k + (pairs[k - 1][1],): d}
+        for key, (cn, cd) in level:
+            lift[key] = lift.get(key, 0) - cn * (d // cd)
+        lift = _canonical(_lift_names(k), {key: v for key, v in lift.items() if v}, d)
         lifts.append(lift)
         forms.append(lift.evaluate(forms))
 
@@ -250,7 +257,8 @@ def _absorb(g: GenericDPS, subs, width: int):
     """The absorption of every level on series cut to the window width.
 
     subs holds x and f_1 substituted.  Returns the poles omega_0..omega_{l+1}
-    and, per level, the absorbed (lift key, coefficient) steps in order.
+    and, per level, the absorbed (lift key, coefficient) steps in order,
+    each coefficient a (numerator, denominator > 0) pair in lowest terms.
     Raises _WindowTooSmall when a read falls below a floor.
     """
     pairs = g.formal_pairs
@@ -267,11 +275,11 @@ def _absorb(g: GenericDPS, subs, width: int):
             powers[(j, b)] = _power(subs[j], floors[j], b, width)
         return powers[(j, b)]
 
-    steps: list[list[tuple[tuple[int, ...], Fraction]]] = []
+    steps: list[list[tuple[tuple[int, ...], tuple[int, int]]]] = []
     for k in range(1, l + 1):
         s, fs = power(k, ps[k - 1])
         w_stop = _stopping_exponent(s, fs, k, l, cum)
-        level: list[tuple[tuple[int, ...], Fraction]] = []
+        level: list[tuple[tuple[int, ...], tuple[int, int]]] = []
         last_deg: int | None = None
         while True:
             d = _top(s, fs)
@@ -293,7 +301,7 @@ def _absorb(g: GenericDPS, subs, width: int):
                     series=repr(s),
                 )
             last_deg = d
-            c = _xi_free_lead(
+            cn, cd = _xi_free_lead(
                 s, "xi-dependent coefficient above the stopping exponent",
                 k=k, degree=d, stopping=w_stop,
             )
@@ -304,12 +312,18 @@ def _absorb(g: GenericDPS, subs, width: int):
             for j, b in enumerate(betas, start=1):
                 if b:
                     correction, fc = _times(correction, fc, *power(j, b), width)
-            coef = c / _xi_free_lead(
+            ln, ld = _xi_free_lead(
                 correction, "xi-dependent leading coefficient in a correction factor",
                 k=k, key=key,
             )
-            level.append((key, coef))
-            s = s - correction.scale(coef)
+            # the coefficient (cn/cd) / (ln/ld), in lowest terms over a positive denominator
+            n, m = cn * ld, cd * ln
+            if m < 0:
+                n, m = -n, -m
+            h = gcd(n, m)
+            n, m = n // h, m // h
+            level.append((key, (n, m)))
+            s = s - correction._scaled(n, m)
             fs = max(fs, fc)
         steps.append(level)
         subs.append(s)
@@ -322,14 +336,15 @@ def _lift_names(k: int) -> tuple[str, ...]:
     return ("x",) + tuple(f"y{j}" for j in range(1, k + 1))
 
 
-def _xi_free_lead(s: Poly, message: str, **state) -> Fraction:
+def _xi_free_lead(s: Poly, message: str, **state) -> tuple[int, int]:
     """Coefficient of the top power of x in a series keyed (x, xi), which
-    must not involve xi."""
+    must not involve xi, as a (numerator, denominator > 0) pair in lowest
+    terms."""
     lead = s.leading()
     if lead.deg(1) != 0:
         raise InvariantViolationError(message, coefficient=repr(lead), **state)
     (c,) = lead.num.values()
-    return Fraction(c, lead.den)
+    return c, lead.den
 
 
 def _stopping_exponent(s: Poly, floor, k: int, l: int, cum) -> int:

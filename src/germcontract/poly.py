@@ -62,11 +62,12 @@ class Poly:
 
     @classmethod
     def monomial(cls, names, key, c=1) -> "Poly":
-        names, key, c = tuple(names), tuple(key), Fraction(c)
+        names, key = tuple(names), tuple(key)
         _check_key(key, names)
-        if not c:
+        n, d = _ratio(c)
+        if not n:
             return cls._make(names, {}, 1)
-        return cls._make(names, {key: c.numerator}, c.denominator)
+        return cls._make(names, {key: n}, d)
 
     @property
     def terms(self) -> MappingProxyType:
@@ -121,12 +122,13 @@ class Poly:
         return self.mul(other)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if not c:
+        return self._scaled(*_ratio(c))
+
+    def _scaled(self, n: int, d: int) -> "Poly":
+        """self * n/d for ints n and d > 0."""
+        if not n:
             return Poly._make(self.names, {}, 1)
-        n = c.numerator
-        num = {k: v * n for k, v in self.num.items()}
-        return _canonical(self.names, num, self.den * c.denominator)
+        return _canonical(self.names, {k: v * n for k, v in self.num.items()}, self.den * d)
 
     def mul(self, other: "Poly", floor=-inf) -> "Poly":
         """The terms of self * other whose first exponent is at least floor;
@@ -227,6 +229,12 @@ class Poly:
 
     def __repr__(self) -> str:
         return self.format()
+
+
+def _ratio(v) -> tuple[int, int]:
+    """A rational input (int, Fraction, str, ...) as its reduced numerator
+    and positive denominator; an int is read without a Fraction."""
+    return (v, 1) if type(v) is int else Fraction(v).as_integer_ratio()
 
 
 def _check_key(key: tuple, names: tuple) -> None:

@@ -14,6 +14,11 @@ characteristic pairs transform accordingly.
 Characteristic pairs are extracted by walking the support in order of
 significance while maintaining the lattice (1/D)Z of exponents seen so far:
 every exponent that escapes the lattice starts a new pair.
+
+A series stores integer numerators over one exponent denominator and one
+coefficient denominator (see PuiseuxPoly); the walk, the conversions, the
+parser and the truncations run on these ints, and a Fraction is built only
+when a view (terms, support, coeff, ord, deg) is read.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from operator import mul
 from types import MappingProxyType
 
 from .errors import InvariantViolationError, PreconditionError, SeriesParseError
-from .poly import format_terms
+from .poly import _ratio, format_terms
 
 RatLike = Fraction | int | str
 
@@ -44,6 +49,14 @@ class Orientation(Enum):
 class PuiseuxPoly:
     """A finite sum of terms c * var^e with c, e rational, c != 0.
 
+    Stored as Poly stores its coefficients: the exponents are integer
+    numerators over one lattice denominator den, the coefficients integer
+    numerators over one coefficient denominator cden, both canonical (no
+    factor common to den and every exponent numerator, none common to cden
+    and every coefficient numerator), so den is the polydromy.  _num maps
+    exponent numerators to coefficient numerators in order of significance.
+    terms, support, coeff, ord and deg build Fractions on access.
+
     Immutable after construction; zero coefficients are dropped, duplicate
     exponents rejected.  Supports either orientation; all exponent-order
     conventions (significance, ord/deg) follow the orientation.  The
@@ -52,105 +65,161 @@ class PuiseuxPoly:
     a walk when they are known.
     """
 
-    __slots__ = ("orientation", "_terms", "_pairs")
+    __slots__ = ("orientation", "_num", "_den", "_cden", "_pairs")
 
     def __init__(self, orientation: Orientation, terms):
         items = terms.items() if hasattr(terms, "items") else terms
-        clean: dict[Fraction, Fraction] = {}
+        clean: dict[tuple[int, int], tuple[int, int]] = {}
         for e, c in items:
-            e = Fraction(e)
-            c = Fraction(c)
-            if c == 0:
+            e, c = _ratio(e), _ratio(c)
+            if not c[0]:
                 continue
             if e in clean:
-                raise ValueError(f"duplicate exponent {e}")
+                raise ValueError(f"duplicate exponent {Fraction(*e)}")
             clean[e] = c
-        object.__setattr__(self, "orientation", orientation)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_pairs", None)
+        _set(self, orientation, *_store(orientation, clean))
+
+    @classmethod
+    def _make(cls, orientation: Orientation, num: dict, den: int, cden: int) -> "PuiseuxPoly":
+        """Wrap a store that is already canonical and in order of significance."""
+        out = object.__new__(cls)
+        _set(out, orientation, num, den, cden)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxPoly is immutable")
 
     @classmethod
     def zero(cls, orientation: Orientation) -> "PuiseuxPoly":
-        return cls(orientation, {})
+        return cls._make(orientation, {}, 1, 1)
 
     @property
     def terms(self):
         """Read-only exponent -> coefficient view."""
-        return MappingProxyType(self._terms)
+        d, cd = self._den, self._cden
+        return MappingProxyType({Fraction(n, d): Fraction(c, cd) for n, c in self._num.items()})
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def support(self) -> tuple[Fraction, ...]:
         """Exponents in order of significance (ascending local, descending
         degree-wise)."""
-        rev = self.orientation is Orientation.DEGREEWISE
-        return tuple(sorted(self._terms, reverse=rev))
+        return tuple(Fraction(n, self._den) for n in self._num)
 
     def coeff(self, e) -> Fraction:
-        return self._terms.get(Fraction(e), Fraction(0))
+        a, b = _ratio(e)
+        if self._den % b:
+            return Fraction(0)
+        return Fraction(self._num.get(a * (self._den // b), 0), self._cden)
 
     def ord(self) -> Fraction:
         if self.orientation is not Orientation.LOCAL:
             raise PreconditionError("ord is defined for local series")
         if self.is_zero():
             raise PreconditionError("ord of the zero series is undefined")
-        return min(self._terms)
+        return Fraction(next(iter(self._num)), self._den)
 
     def deg(self) -> Fraction:
         if self.orientation is not Orientation.DEGREEWISE:
             raise PreconditionError("deg is defined for degree-wise series")
         if self.is_zero():
             raise PreconditionError("deg of the zero series is undefined")
-        return max(self._terms)
+        return Fraction(next(iter(self._num)), self._den)
 
     def keep_above(self, threshold, pairs=None) -> "PuiseuxPoly":
         """Sub-sum of terms with exponent strictly greater than threshold.
         A caller that knows the characteristic pairs of the result passes
         them as pairs (CharacteristicData, not checked) to spare the walk;
         they are dropped when the result is zero, which has none."""
-        t = Fraction(threshold)
-        out = PuiseuxPoly(
-            self.orientation, {e: c for e, c in self._terms.items() if e > t}
+        return self._above(*_ratio(threshold), pairs)
+
+    def _above(self, a: int, b: int, pairs=None) -> "PuiseuxPoly":
+        """keep_above(a/b, pairs) for ints a and b > 0."""
+        d = self._den
+        out = _canonical(
+            self.orientation, {n: c for n, c in self._num.items() if n * b > a * d}, d, self._cden
         )
-        if out._terms:
+        if out._num:
             object.__setattr__(out, "_pairs", pairs)
         return out
 
     def with_term(self, e, c) -> "PuiseuxPoly":
         """Copy with one extra term (the exponent must be fresh)."""
-        new = dict(self._terms)
-        e = Fraction(e)
-        if e in new:
-            raise ValueError(f"exponent {e} already present")
-        new[e] = Fraction(c)
-        return PuiseuxPoly(self.orientation, new)
+        e, c = _ratio(e), _ratio(c)
+        d, cd = self._den, self._cden
+        terms = {}
+        for n, v in self._num.items():
+            g, h = gcd(n, d), gcd(v, cd)
+            terms[(n // g, d // g)] = (v // h, cd // h)
+        if e in terms:
+            raise ValueError(f"exponent {Fraction(*e)} already present")
+        if c[0]:
+            terms[e] = c
+        return PuiseuxPoly._make(self.orientation, *_store(self.orientation, terms))
 
     def polydromy(self) -> int:
         """lcm of the exponent denominators (1 for the zero series)."""
-        out = 1
-        for e in self._terms:
-            out = lcm(out, e.denominator)
-        return out
+        return self._den
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PuiseuxPoly)
             and self.orientation is other.orientation
-            and self._terms == other._terms
+            and self._den == other._den
+            and self._cden == other._cden
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash((self.orientation, frozenset(self._terms.items())))
+        return hash((self.orientation, self._den, self._cden, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
         return f"PuiseuxPoly({self.orientation.name}, {format_puiseux(self)!r})"
 
     def __str__(self) -> str:
         return format_puiseux(self)
+
+
+def _set(phi: PuiseuxPoly, orientation: Orientation, num: dict, den: int, cden: int) -> None:
+    object.__setattr__(phi, "orientation", orientation)
+    object.__setattr__(phi, "_num", num)
+    object.__setattr__(phi, "_den", den)
+    object.__setattr__(phi, "_cden", cden)
+    object.__setattr__(phi, "_pairs", None)
+
+
+def _store(orientation: Orientation, terms: dict) -> tuple[dict, int, int]:
+    """(num, den, cden) of the series whose terms map reduced exponents
+    (a, b) to reduced nonzero coefficients (n, d), b, d > 0.  Over the lcms
+    of reduced denominators the store is already canonical."""
+    den = cden = 1
+    for (_, b), (_, d) in terms.items():
+        den = lcm(den, b)
+        cden = lcm(cden, d)
+    num = {a * (den // b): n * (cden // d) for (a, b), (n, d) in terms.items()}
+    rev = orientation is Orientation.DEGREEWISE
+    return {n: num[n] for n in sorted(num, reverse=rev)}, den, cden
+
+
+def _canonical(orientation: Orientation, num: dict, den: int, cden: int) -> PuiseuxPoly:
+    """The series num over den and cden (no zero coefficients, in order of
+    significance), with den divided by its gcd with every exponent numerator
+    and cden by its gcd with every coefficient numerator."""
+    # folded one value at a time and stopped at 1, as poly._canonical does
+    g, h = den, cden
+    for n, v in num.items():
+        if g != 1:
+            g = gcd(g, n)
+        if h != 1:
+            h = gcd(h, v)
+        if g == h == 1:
+            break
+    if g != 1 or h != 1:
+        num = {n // g: v // h for n, v in num.items()}
+        den //= g
+        cden //= h
+    return PuiseuxPoly._make(orientation, num, den, cden)
 
 
 def _is_int(v) -> bool:
@@ -238,12 +307,17 @@ def local_pair_data(local_pairs) -> CharacteristicData:
     data = local_pairs if given else CharacteristicData.from_pairs(pairs)
     if not data.pairs:
         raise PreconditionError("need at least one characteristic pair")
-    exps = data.char_exponents()
-    for k in range(1, len(exps)):
-        if exps[k] <= exps[k - 1]:
+    # q_k/c_k > q_{k-1}/c_{k-1} with c_k = p_1..p_k, cross-multiplied
+    q_prev, c_prev = 0, 1
+    c = 1
+    for k, (q, p) in enumerate(data.pairs):
+        c *= p
+        if k and q * c_prev <= q_prev * c:
+            exps = data.char_exponents()
             raise PreconditionError(
                 f"characteristic exponents must increase: {exps[k - 1]} then {exps[k]}"
             )
+        q_prev, c_prev = q, c
     return data
 
 
@@ -280,25 +354,28 @@ def _walk_pairs(phi: PuiseuxPoly) -> CharacteristicData:
     """The characteristic pairs of phi.
 
     Walks the support in order of significance with a running lattice
-    denominator D (starting at 1); an exponent outside (1/D)Z contributes the
-    pair (e*D', D'/D) with D' = lcm(D, den(e)).
+    denominator D (starting at 1); an exponent e = a/b in lowest terms
+    outside (1/D)Z contributes the pair (e*D', D'/D) with D' = lcm(D, b).
     """
     if phi.is_zero():
         raise PreconditionError("characteristic pairs of the zero series")
+    den = phi._den
     d = 1
     pairs = []
-    for e in phi.support():
-        if e.denominator == 1 or d % e.denominator == 0:
+    for n in phi._num:
+        g = gcd(n, den)
+        b = den // g
+        if d % b == 0:
             continue
-        d_new = lcm(d, e.denominator)
+        d_new = lcm(d, b)
         p_k = d_new // d
-        q_k = e * d_new
-        if q_k.denominator != 1 or gcd(int(q_k), p_k) != 1:
+        q_k = n // g * (d_new // b)
+        if gcd(q_k, p_k) != 1:
             raise InvariantViolationError(
                 "new characteristic pair is not a coprime integer pair",
-                exponent=e, q=q_k, p=p_k, lattice=d,
+                exponent=Fraction(n, den), q=q_k, p=p_k, lattice=d,
             )
-        pairs.append((int(q_k), p_k))
+        pairs.append((q_k, p_k))
         d = d_new
     return CharacteristicData(tuple(pairs), d)
 
@@ -312,9 +389,7 @@ def local_to_degreewise(phi: PuiseuxPoly) -> PuiseuxPoly:
     pair (p_1..p_k - q_k, p_k)."""
     if phi.orientation is not Orientation.LOCAL:
         raise PreconditionError("expected a local series")
-    psi = PuiseuxPoly(
-        Orientation.DEGREEWISE, {1 - e: c for e, c in phi.terms.items()}
-    )
+    psi = _flip(phi, Orientation.DEGREEWISE)
     data = phi._pairs
     if data is not None:
         pairs = tuple((cp - q, p) for (q, p), cp in zip(data.pairs, data.cumulative_p()))
@@ -326,7 +401,17 @@ def degreewise_to_local(psi: PuiseuxPoly) -> PuiseuxPoly:
     """c*x^e  ->  c*u^(1-e) (inverse of local_to_degreewise)."""
     if psi.orientation is not Orientation.DEGREEWISE:
         raise PreconditionError("expected a degree-wise series")
-    return PuiseuxPoly(Orientation.LOCAL, {1 - e: c for e, c in psi.terms.items()})
+    return _flip(psi, Orientation.LOCAL)
+
+
+def _flip(phi: PuiseuxPoly, orientation: Orientation) -> PuiseuxPoly:
+    """e -> 1 - e into the other orientation.  n/D maps to (D - n)/D over
+    the same lattice and coefficients, which stays canonical, and the
+    order of significance is kept."""
+    d = phi._den
+    return PuiseuxPoly._make(
+        orientation, {d - n: c for n, c in phi._num.items()}, d, phi._cden
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +421,7 @@ def degreewise_to_local(psi: PuiseuxPoly) -> PuiseuxPoly:
 # term     := coeff | [coeff '*'] var ['^' exponent]
 # coeff    := integer ['/' integer]
 # exponent := ['-'] integer | '(' ['-'] integer ['/' integer] ')'
+# integer  := digit+
 #
 # The variable letter decides the orientation: u = local, x = degree-wise.
 
@@ -371,18 +457,24 @@ class _Scanner:
             self.i += 1
         return int(self.text[start : self.i])
 
-    def rational(self) -> Fraction:
+    def rational(self) -> tuple[int, int]:
+        """integer ['/' integer] as a reduced numerator and positive
+        denominator; the denominator takes no sign."""
         num = self.integer()
-        if self.peek() == "/":
-            self.i += 1
-            pos = self.i
-            den = self.integer()
-            if den == 0:
-                raise SeriesParseError("zero denominator", pos)
-            return Fraction(num, den)
-        return Fraction(num)
+        if self.peek() != "/":
+            return num, 1
+        self.i += 1
+        pos = self.i
+        self.skip_ws()
+        if self.peek() in ("+", "-"):
+            self.fail("sign in a denominator")
+        den = self.integer()
+        if den == 0:
+            raise SeriesParseError("zero denominator", pos)
+        g = gcd(num, den)
+        return num // g, den // g
 
-    def exponent(self) -> Fraction:
+    def exponent(self) -> tuple[int, int]:
         self.skip_ws()
         if self.peek() == "(":
             self.i += 1
@@ -392,14 +484,15 @@ class _Scanner:
                 self.fail("expected ')'")
             self.i += 1
             return value
-        return Fraction(self.integer())
+        return self.integer(), 1
 
 
-def _parse_term(sc: _Scanner, variables) -> tuple[Fraction, dict[str, Fraction]]:
+def _parse_term(sc: _Scanner, variables) -> tuple[tuple[int, int], dict[str, tuple[int, int]]]:
     """One unsigned term: '*'-separated factors, at most one leading
-    coefficient, each variable at most once.  Returns (coeff, var -> exp)."""
-    coeff = Fraction(1)
-    powers: dict[str, Fraction] = {}
+    coefficient, each variable at most once.  Returns (coeff, var -> exp),
+    each rational as a reduced (numerator, denominator) pair."""
+    coeff = (1, 1)
+    powers: dict[str, tuple[int, int]] = {}
     saw_factor = False
     while True:
         sc.skip_ws()
@@ -416,7 +509,7 @@ def _parse_term(sc: _Scanner, variables) -> tuple[Fraction, dict[str, Fraction]]
                 sc.fail(f"unknown variable {name!r}")
             if name in powers:
                 sc.fail(f"variable {name!r} repeated in one term")
-            exp = Fraction(1)
+            exp = (1, 1)
             sc.skip_ws()
             if sc.peek() == "^":
                 sc.i += 1
@@ -435,29 +528,30 @@ def _parse_term(sc: _Scanner, variables) -> tuple[Fraction, dict[str, Fraction]]
 def parse_terms(text: str, variables):
     """Signed-sum driver shared by the series and polynomial parsers.
 
-    Yields (signed coefficient, variable -> exponent, term position) per term.
+    Yields (signed coefficient, variable -> exponent, term position) per
+    term, each rational as a reduced (numerator, denominator) pair.
     """
     sc = _Scanner(text)
     sc.skip_ws()
     if not sc.peek():
         sc.fail("empty input")
-    sign = Fraction(1)
+    sign = 1
     if sc.peek() == "-":
         sc.i += 1
-        sign = Fraction(-1)
+        sign = -1
     while True:
         sc.skip_ws()
         pos = sc.i
-        coeff, powers = _parse_term(sc, variables)
-        yield sign * coeff, powers, pos
+        (n, d), powers = _parse_term(sc, variables)
+        yield (sign * n, d), powers, pos
         sc.skip_ws()
         ch = sc.peek()
         if not ch:
             return
         if ch == "+":
-            sign = Fraction(1)
+            sign = 1
         elif ch == "-":
-            sign = Fraction(-1)
+            sign = -1
         else:
             sc.fail(f"unexpected {ch!r}")
         sc.i += 1
@@ -466,7 +560,7 @@ def parse_terms(text: str, variables):
 def parse_puiseux(text: str, orientation: Orientation | None = None) -> PuiseuxPoly:
     """Parse a one-variable series; the variable letter (u or x) fixes the
     orientation unless one is supplied.  parse o format o parse = id."""
-    terms: dict[Fraction, Fraction] = {}
+    terms: dict[tuple[int, int], tuple[int, int]] = {}
     seen: Orientation | None = None
     for coeff, powers, pos in parse_terms(text, ("u", "x")):
         if len(powers) > 1:
@@ -478,20 +572,21 @@ def parse_puiseux(text: str, orientation: Orientation | None = None) -> PuiseuxP
                 seen = this
             elif seen is not this:
                 raise SeriesParseError("mixed variables u and x", pos)
-        e = powers.get(var, Fraction(0)) if var else Fraction(0)
-        if coeff == 0:
+        e = powers[var] if var else (0, 1)
+        if not coeff[0]:
             continue
         if e in terms:
-            raise SeriesParseError(f"duplicate exponent {e}", pos)
+            raise SeriesParseError(f"duplicate exponent {Fraction(*e)}", pos)
         terms[e] = coeff
     if seen is not None and orientation is not None and seen is not orientation:
         raise SeriesParseError("series variable conflicts with the requested orientation", 0)
     final = seen or orientation
     if final is None:
         raise SeriesParseError("cannot infer the orientation (no variable present)", 0)
-    return PuiseuxPoly(final, terms)
+    return PuiseuxPoly._make(final, *_store(final, terms))
 
 
 def format_puiseux(phi: PuiseuxPoly) -> str:
-    terms = (((e,), phi.terms[e]) for e in phi.support())
+    d, cd = phi._den, phi._cden
+    terms = (((Fraction(n, d),), Fraction(c, cd)) for n, c in phi._num.items())
     return format_terms(terms, (phi.orientation.var,))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvariantViolationError, PreconditionError, SeriesParseError
-from .poly import Poly
+from .poly import Poly, _ratio
 from .puiseux import (
     CharacteristicData,
     Orientation,
@@ -41,14 +41,13 @@ def parse_poly(text: str, xname: str = "x", yname: str = "y") -> Poly:
     parser, repeated monomials accumulate."""
     terms: dict[tuple[int, int], Fraction] = {}
     for coeff, powers, pos in parse_terms(text, (xname, yname)):
-        a = powers.get(xname, Fraction(0))
-        b = powers.get(yname, Fraction(0))
-        if a.denominator != 1 or b.denominator != 1:
+        a, da = powers.get(xname, (0, 1))
+        b, db = powers.get(yname, (0, 1))
+        if da != 1 or db != 1:
             raise SeriesParseError("integer exponents expected", pos)
         if b < 0:
             raise SeriesParseError(f"negative {yname}-exponent", pos)
-        key = (int(a), int(b))
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[(a, b)] = terms.get((a, b), 0) + Fraction(*coeff)
     return Poly(XY, terms)
 
 
@@ -58,35 +57,54 @@ class GenericDPS:
     phi must be degree-wise and r_delta strictly below every exponent of phi.
     """
 
-    __slots__ = ("phi", "r_delta", "phi_pairs", "xi_pair", "delta_x")
+    __slots__ = ("phi", "_r_num", "_r_den", "phi_pairs", "xi_pair", "delta_x")
 
     def __init__(self, phi: PuiseuxPoly, r_delta):
+        self._init(phi, *_ratio(r_delta))
+
+    @classmethod
+    def _at(cls, phi: PuiseuxPoly, num: int, den: int) -> "GenericDPS":
+        """GenericDPS(phi, num/den) for ints num and den > 0."""
+        out = object.__new__(cls)
+        out._init(phi, num, den)
+        return out
+
+    def _init(self, phi: PuiseuxPoly, num: int, den: int) -> None:
+        """Set the fields for r_delta = num/den, den > 0, kept in lowest
+        terms as _r_num/_r_den."""
         if phi.orientation is not Orientation.DEGREEWISE:
             raise PreconditionError("phi must be a degree-wise series")
-        r_delta = Fraction(r_delta)
-        if any(e <= r_delta for e in phi.terms):
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        d = phi._den
+        if any(n * den <= num * d for n in phi._num):
             raise PreconditionError(
-                f"r_delta = {r_delta} must lie strictly below every exponent of phi"
+                f"r_delta = {Fraction(num, den)} must lie strictly below every exponent of phi"
             )
         if phi.is_zero():
             base = CharacteristicData((), 1)
         else:
             base = puiseux_pairs(phi)
-        scaled = r_delta * base.polydromy
-        xi_p = scaled.denominator
-        xi_q = int(scaled * xi_p)
+        # r_delta * polydromy in lowest terms
+        g = gcd(num * base.polydromy, den)
+        xi_q, xi_p = num * base.polydromy // g, den // g
         if gcd(xi_q, xi_p) != 1 and xi_q != 0:
             raise InvariantViolationError(
-                "generic pair is not coprime", r_delta=r_delta, pair=(xi_q, xi_p)
+                "generic pair is not coprime", r_delta=Fraction(num, den), pair=(xi_q, xi_p)
             )
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "r_delta", r_delta)
+        object.__setattr__(self, "_r_num", num)
+        object.__setattr__(self, "_r_den", den)
         object.__setattr__(self, "phi_pairs", base)
         object.__setattr__(self, "xi_pair", (xi_q, xi_p))
         object.__setattr__(self, "delta_x", base.polydromy * xi_p)
 
     def __setattr__(self, name, value):
         raise AttributeError("GenericDPS is immutable")
+
+    @property
+    def r_delta(self) -> Fraction:
+        return Fraction(self._r_num, self._r_den)
 
     @property
     def formal_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -108,14 +126,20 @@ class GenericDPS:
         )
 
     def xiseries(self) -> Poly:
-        """phi + xi*x^r_delta keyed (delta_x * x-exponent, xi-degree)."""
-        out = {(self.delta_x * e, 0): c for e, c in self.phi.terms.items()}
-        out[(self.delta_x * self.r_delta, 1)] = Fraction(1)
-        if any(a.denominator != 1 for a, _ in out):
+        """phi + xi*x^r_delta keyed (delta_x * x-exponent, xi-degree).
+
+        Its coefficients are phi's numerators and 1 over phi's coefficient
+        denominator, which is canonical as it stands."""
+        phi, dx = self.phi, self.delta_x
+        # delta_x * n / den and delta_x * r_delta must be integers
+        if dx % phi._den or dx % self._r_den:
             raise InvariantViolationError(
-                "semidegree exponent is not an integer", delta_x=self.delta_x, g=self
+                "semidegree exponent is not an integer", delta_x=dx, g=self
             )
-        return Poly(XI, {(int(a), d): c for (a, d), c in out.items()})
+        step = dx // phi._den
+        num = {(step * n, 0): c for n, c in phi._num.items()}
+        num[(dx // self._r_den * self._r_num, 1)] = phi._cden
+        return Poly._make(XI, num, phi._cden)
 
     def truncated(self, k: int) -> "GenericDPS":
         """The k-th truncation: keep the terms of phi strictly above the k-th
@@ -123,14 +147,15 @@ class GenericDPS:
         (1 <= k <= l+1; k = l+1 returns an equal copy)."""
         if not 1 <= k <= self.l + 1:
             raise PreconditionError(f"truncation index {k} out of range")
-        e_k = self.formal_exponents()[k - 1]
-        return GenericDPS(self.phi.keep_above(e_k), e_k)
+        q, c = self.formal_pairs[k - 1][0], self.cumulative_p()[k - 1]
+        return GenericDPS._at(self.phi._above(q, c), q, c)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GenericDPS)
             and self.phi == other.phi
-            and self.r_delta == other.r_delta
+            and self._r_num == other._r_num
+            and self._r_den == other._r_den
         )
 
     def __repr__(self) -> str:
@@ -153,11 +178,11 @@ def generic_dps_from_curve(psi: PuiseuxPoly, r: int) -> GenericDPS:
         raise PreconditionError(
             "the series has no fractional exponent; the generic position is undefined"
         )
-    last = data.char_exponents()[-1]
-    cut = last - Fraction(r, data.polydromy)
+    # the last characteristic exponent is q/p over the polydromy p
+    cut, p = data.pairs[-1][0] - r, data.polydromy
     # the terms above the cut carry every pair for r >= 1, all but the last for r = 0
     kept = CharacteristicData.from_pairs(data.pairs if r else data.pairs[:-1])
-    return GenericDPS(psi.keep_above(cut, kept), cut)
+    return GenericDPS._at(psi._above(cut, p, kept), cut, p)
 
 
 def substitute(f: Poly, g: GenericDPS) -> Poly:

@@ -26,6 +26,9 @@ quantity from first principles by a different route than the library:
   substitutions term by term in Fraction arithmetic, on plain dicts from
   exponent tuples to coefficients (the package multiplies integer
   numerators over a common denominator).
+* ``puiseux_oracle`` -- the views of a finite Puiseux series from a plain
+  dict of Fraction exponents to Fraction coefficients (the package stores
+  integer numerators over one exponent and one coefficient denominator).
 
 Run as a script to print the frozen values used in the deterministic tests.
 """
@@ -35,7 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import sympy
 
@@ -108,6 +111,37 @@ def decompose_bruteforce(
         if rest % omegas[0] == 0:
             out.append((rest // omegas[0], betas))
     return out
+
+
+# --- Puiseux series ------------------------------------------------------------
+
+
+def puiseux_oracle(terms, local: bool) -> dict:
+    """The series sum c*var^e over the (e, c) pairs of terms (each an int,
+    Fraction or str), local or degree-wise, as a plain dict of Fractions
+    with its views: "terms" (zero coefficients dropped, a repeated exponent
+    raises ValueError), "support" in order of significance (ascending
+    local, descending degree-wise), "lead" (ord of a local series, deg of a
+    degree-wise one; None when zero) and "polydromy" (lcm of the exponent
+    denominators)."""
+    out: dict[Fraction, Fraction] = {}
+    for e, c in terms:
+        e, c = Fraction(e), Fraction(c)
+        if not c:
+            continue
+        if e in out:
+            raise ValueError(f"duplicate exponent {e}")
+        out[e] = c
+    support = tuple(sorted(out, reverse=not local))
+    polydromy = 1
+    for e in out:
+        polydromy = lcm(polydromy, e.denominator)
+    return {
+        "terms": out,
+        "support": support,
+        "lead": support[0] if support else None,
+        "polydromy": polydromy,
+    }
 
 
 # --- sparse polynomials ------------------------------------------------------

@@ -246,6 +246,9 @@ PARSE_FAILS = [
     ["singlepair", "--poly", "v^5 - u^3", "--p", "5", "--q", "3", "--r", "-1"],
     ["singlepair", "--poly", "v^5 - u^10", "--p", "5", "--q", "10", "--r", "1"],
     ["sweep", "--pairs", "[(3,5)]", "--r-max", "-1"],
+    ["analyze", "--series", "u^(1/-2)", "--r", "1"],
+    ["analyze", "--series", "2/-3*u^(3/5)", "--r", "1"],
+    ["singlepair", "--poly", "v^5 - 1/-2*u^3", "--p", "5", "--q", "3", "--r", "1"],
 ]
 
 
@@ -255,6 +258,11 @@ def test_unusable_input_exits_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "(at position 0)" not in err
+
+
+def test_signed_denominator_names_the_sign(capsys):
+    assert run(["keyforms", "--series", "u^(3/5) + 2/-3*u^2", "--r", "1"]) == 2
+    assert capsys.readouterr().err == "error: sign in a denominator (at position 12)\n"
 
 
 def test_zero_q_is_refused_by_the_q_rule(capsys):

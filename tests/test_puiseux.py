@@ -1,23 +1,32 @@
-"""Series parsing/printing, orientation conversion, and the pair walk."""
+"""Series parsing/printing, orientation conversion, the pair walk, and the
+integer store against a Fraction-dict oracle."""
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import puiseux_oracle
+from strategies import generic_series
 
 from germcontract import (
     CharacteristicData,
     Orientation,
+    Poly,
     PreconditionError,
     PuiseuxPoly,
     SeriesParseError,
     degreewise_to_local,
     format_puiseux,
     local_to_degreewise,
+    parse_poly,
     parse_puiseux,
     puiseux_pairs,
 )
 from germcontract.puiseux import local_pair_data
+from germcontract.semidegree import XI
 
 F = Fraction
 
@@ -247,3 +256,161 @@ def test_characteristic_data_validation():
         CharacteristicData(((3, 5),), 6)  # stated polydromy is wrong
     data = CharacteristicData.from_pairs([(3, 5), (23, 2)])
     assert data.polydromy == 10
+
+
+# --- signed denominators ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("u^(1/-2)", 5), ("u^(1/ -2)", 6), ("u^(1/+2)", 5), ("2/-3*u", 2), ("u - 1/-2", 6)],
+)
+def test_signed_denominator_is_refused(text, position):
+    with pytest.raises(SeriesParseError, match="sign in a denominator") as err:
+        parse_puiseux(text)
+    assert err.value.position == position
+
+
+def test_signed_denominator_is_refused_in_polynomials():
+    with pytest.raises(SeriesParseError, match="sign in a denominator") as err:
+        parse_poly("y^2 - 2/-3*x")
+    assert err.value.position == 8
+    with pytest.raises(SeriesParseError, match="sign in a denominator"):
+        parse_poly("y^2 - x^(4/-2)")
+
+
+def test_signed_numerators_still_parse():
+    phi = parse_puiseux("-u^(-1/2) - 2/3*u")
+    assert dict(phi.terms) == {F(-1, 2): -1, F(1): F(-2, 3)}
+    assert dict(parse_puiseux("u^(2/4) + 4/6").terms) == {F(1, 2): 1, F(0): F(2, 3)}
+
+
+# --- the integer store against the Fraction-dict oracle ----------------------
+
+STORE = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def _orientation(local: bool) -> Orientation:
+    return Orientation.LOCAL if local else Orientation.DEGREEWISE
+
+
+def _spellings(v: Fraction):
+    """v as a Fraction, a str, and an int when it is integral."""
+    return st.sampled_from([v, str(v)] + ([int(v)] if v.denominator == 1 else []))
+
+
+RATIONALS = st.builds(F, st.integers(-30, 30), st.sampled_from((1, 2, 3, 4, 6, 12)))
+COEFFICIENTS = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def series_inputs(draw, max_terms: int = 6):
+    """(local, [(e, c)]): distinct exponents, some coefficients zero, each
+    exponent and coefficient spelled as an int, a Fraction or a str."""
+    local = draw(st.booleans())
+    exps = draw(st.lists(RATIONALS, unique=True, max_size=max_terms))
+    terms = [(draw(_spellings(e)), draw(_spellings(draw(COEFFICIENTS)))) for e in exps]
+    return local, terms
+
+
+def _assert_matches(phi: PuiseuxPoly, oracle: dict, local: bool) -> None:
+    """Every view of phi against the oracle, and phi equal to the series
+    built afresh from the oracle's Fractions."""
+    assert phi.orientation is _orientation(local)
+    assert dict(phi.terms) == oracle["terms"]
+    assert all(type(e) is F and type(c) is F for e, c in phi.terms.items())
+    assert phi.support() == oracle["support"]
+    for e, c in oracle["terms"].items():
+        assert phi.coeff(e) == c and phi.coeff(str(e)) == c
+    assert phi.coeff(F(1, 5)) == 0
+    assert phi.polydromy() == oracle["polydromy"]
+    assert phi.is_zero() is (not oracle["terms"])
+    lead = phi.ord if local else phi.deg
+    if oracle["lead"] is None:
+        with pytest.raises(PreconditionError):
+            lead()
+    else:
+        assert lead() == oracle["lead"]
+    fresh = PuiseuxPoly(_orientation(local), oracle["terms"])
+    assert phi == fresh and hash(phi) == hash(fresh)
+
+
+@STORE
+@given(spec=series_inputs())
+def test_store_views_match_the_oracle(spec):
+    local, terms = spec
+    _assert_matches(PuiseuxPoly(_orientation(local), terms), puiseux_oracle(terms, local), local)
+
+
+@STORE
+@given(spec=series_inputs())
+def test_equal_series_hash_alike(spec):
+    local, terms = spec
+    orientation = _orientation(local)
+    phi = PuiseuxPoly(orientation, terms)
+    want = puiseux_oracle(terms, local)["terms"]
+    flip, back = (
+        (local_to_degreewise, degreewise_to_local) if local
+        else (degreewise_to_local, local_to_degreewise)
+    )
+    built = [
+        PuiseuxPoly(orientation, dict(reversed(list(want.items())))),
+        PuiseuxPoly(orientation, [(str(e), str(c)) for e, c in want.items()]),
+        parse_puiseux(format_puiseux(phi), orientation),
+        phi.keep_above(min(want, default=F(0)) - 1),
+        back(flip(phi)),
+    ]
+    for other in built:
+        assert other == phi and hash(other) == hash(phi)
+    if want:
+        e = min(want)
+        assert PuiseuxPoly(orientation, {**want, e: want[e] + F(1, 7)}) != phi
+        assert PuiseuxPoly(_orientation(not local), want) != phi
+
+
+@STORE
+@given(spec=series_inputs(), threshold=RATIONALS, data=st.data())
+def test_keep_above_matches_the_oracle(spec, threshold, data):
+    local, terms = spec
+    phi = PuiseuxPoly(_orientation(local), terms)
+    kept = phi.keep_above(data.draw(_spellings(threshold)))
+    above = [(e, c) for e, c in puiseux_oracle(terms, local)["terms"].items() if e > threshold]
+    _assert_matches(kept, puiseux_oracle(above, local), local)
+
+
+@STORE
+@given(spec=series_inputs(), e=RATIONALS, c=COEFFICIENTS, data=st.data())
+def test_with_term_matches_the_oracle(spec, e, c, data):
+    local, terms = spec
+    phi = PuiseuxPoly(_orientation(local), terms)
+    have = puiseux_oracle(terms, local)["terms"]
+    e_in, c_in = data.draw(_spellings(e)), data.draw(_spellings(c))
+    if e in have:
+        with pytest.raises(ValueError):
+            phi.with_term(e_in, c_in)
+        return
+    _assert_matches(phi.with_term(e_in, c_in), puiseux_oracle([*have.items(), (e, c)], local), local)
+
+
+@STORE
+@given(spec=series_inputs())
+def test_conversions_and_text_round_trip(spec):
+    local, terms = spec
+    phi = PuiseuxPoly(_orientation(local), terms)
+    assert parse_puiseux(format_puiseux(phi), phi.orientation) == phi
+    if not local:
+        phi = degreewise_to_local(phi)
+    psi = local_to_degreewise(phi)
+    flipped = [(1 - e, c) for e, c in phi.terms.items()]
+    _assert_matches(psi, puiseux_oracle(flipped, False), False)
+    assert degreewise_to_local(psi) == phi
+
+
+@STORE
+@given(g=generic_series())
+def test_xiseries_matches_the_fraction_build(g):
+    dx = g.delta_x
+    want = {(dx * e, 0): c for e, c in g.phi.terms.items()}
+    want[(dx * g.r_delta, 1)] = F(1)
+    assert all(a.denominator == 1 for a, _ in want)
+    assert g.xiseries() == Poly(XI, {(int(a), d): c for (a, d), c in want.items()})
