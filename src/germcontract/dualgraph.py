@@ -181,7 +181,8 @@ def is_negative_definite(matrix) -> bool:
     vertex of degree <= 1: each step removes a leaf and updates one
     diagonal entry, so past the one O(n^2) read of the dense input the
     elimination costs n heap operations.  Raises PreconditionError when the
-    matrix is not square or not symmetric.
+    matrix is not square or not symmetric, or when an entry it reads (the
+    diagonal and every nonzero entry) is not a finite rational number.
     """
     n = len(matrix)
     for i, row in enumerate(matrix):
@@ -189,17 +190,28 @@ def is_negative_definite(matrix) -> bool:
             raise PreconditionError(
                 f"the matrix must be square: row {i} has {len(row)} entries, not {n}"
             )
-    diag = [Fraction(row[i]) for i, row in enumerate(matrix)]
+    diag: list[Fraction] = []
     adj: list[dict[int, Fraction]] = [{} for _ in range(n)]  # nonzero a_ij, j != i
-    for i, row in enumerate(matrix):
-        for j in compress(range(n), row):
-            if matrix[j][i] != row[j]:
-                raise PreconditionError(
-                    f"the matrix must be symmetric: entry ({i}, {j}) is "
-                    f"{row[j]} but entry ({j}, {i}) is {matrix[j][i]}"
-                )
-            if j > i:
-                adj[i][j] = adj[j][i] = Fraction(row[j])
+    try:
+        for i, row in enumerate(matrix):
+            j = i
+            diag.append(Fraction(row[i]))
+            for j in compress(range(n), row):
+                if matrix[j][i] != row[j]:
+                    Fraction(row[j])  # nan != nan: a bad entry, not an asymmetry
+                    raise PreconditionError(
+                        f"the matrix must be symmetric: entry ({i}, {j}) is "
+                        f"{row[j]} but entry ({j}, {i}) is {matrix[j][i]}"
+                    )
+                if j > i:
+                    adj[i][j] = adj[j][i] = Fraction(row[j])
+    except PreconditionError:
+        raise
+    except (TypeError, ValueError, OverflowError):
+        # the conversion at (i, j) failed
+        raise PreconditionError(
+            f"entry ({i}, {j}) of the matrix is {matrix[i][j]!r}, not a finite rational number"
+        ) from None
 
     heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
     heapq.heapify(heap)

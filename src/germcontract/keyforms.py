@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 
 from .errors import InvariantViolationError, PreconditionError
-from .poly import Poly, _canonical
+from .poly import Poly, _canonical, _pack
 from .semidegree import XI, XY, GenericDPS, substitute
 
 
@@ -178,9 +178,9 @@ def essential_key_forms(g: GenericDPS) -> EssentialKeyForms:
     x = Poly.monomial(XY, (1, 0))
     head, hd = _integer_head(g)
     # F_1 is f_1 with y written as y_1 (there is no previous y-form to lift to)
-    lifts: list[Poly] = [
-        _canonical(_lift_names(1), {(0, 1): hd, **{(e, 0): -c for e, c in head}}, hd)
-    ]
+    names = _lift_names(1)
+    f1 = {_pack((0, 1), names): hd, **{_pack((e, 0), names): -c for e, c in head}}
+    lifts: list[Poly] = [_canonical(names, f1, hd)]
     forms: list[Poly] = [x, lifts[0].evaluate((x, Poly.monomial(XY, (0, 1))))]
 
     subs = (substitute(x, g), substitute(forms[1], g))
@@ -197,10 +197,12 @@ def essential_key_forms(g: GenericDPS) -> EssentialKeyForms:
         d = 1
         for _, (_, cd) in level:
             d = lcm(d, cd)
-        lift = {(0,) * k + (pairs[k - 1][1],): d}
+        names = _lift_names(k)
+        lift = {_pack((0,) * k + (pairs[k - 1][1],), names): d}
         for key, (cn, cd) in level:
+            key = _pack(key, names)
             lift[key] = lift.get(key, 0) - cn * (d // cd)
-        lift = _canonical(_lift_names(k), {key: v for key, v in lift.items() if v}, d)
+        lift = _canonical(names, {key: v for key, v in lift.items() if v}, d)
         lifts.append(lift)
         forms.append(lift.evaluate(forms))
 
@@ -343,7 +345,7 @@ def _xi_free_lead(s: Poly, message: str, **state) -> tuple[int, int]:
     lead = s.leading()
     if lead.deg(1) != 0:
         raise InvariantViolationError(message, coefficient=repr(lead), **state)
-    (c,) = lead.num.values()
+    (c,) = lead._num.values()
     return c, lead.den
 
 
@@ -357,10 +359,10 @@ def _stopping_exponent(s: Poly, floor, k: int, l: int, cum) -> int:
     """
     if k < l:
         step = cum[-1] // cum[k - 1]
-        cand = [e for e, _ in s.num if e % step and e >= floor]
+        cand = [e for e in s._exponents(0) if e % step and e >= floor]
         what = "exponent outside the current lattice"
     else:
-        cand = [e for e, d in s.num if d >= 1 and e >= floor]
+        cand = [e for e, d in zip(s._exponents(0), s._exponents(1)) if d >= 1 and e >= floor]
         what = "xi-dependent exponent"
     if not cand and floor > -inf:
         raise _WindowTooSmall

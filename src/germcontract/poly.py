@@ -1,16 +1,26 @@
-"""Sparse polynomials over Q keyed by exponent tuples.
+"""Sparse polynomials over Q with each monomial packed into one int.
 
 One class carries every polynomial of the package.  A key form or a witness
 curve lives in Q[x, x^-1, y] and is keyed (x, y); the lift of a key form
 lives in Q[x, x^-1, y_1, ..., y_k] and is keyed (x, y_1, ..., y_k); a generic
 series substituted into a form is keyed (x, xi) by the semidegree (delta_x
 times the rational x-exponent) and the degree of the free coefficient xi.
-Exponents are integers; the first may be negative, every later one is
-non-negative.
+Exponents are integers; the first may be negative, every later one lies in
+0 .. 2^15 - 1.
+
+The store keys each term by one int (_pack, _unpack): the first exponent in
+the high bits and each later one in its own 16-bit field below it, the last
+variable lowest.  Adding two keys multiplies the monomials, int order is the
+lexicographic order of the exponent tuples, and the first exponent is the
+key shifted right by 16 bits per later variable.  A field's top bit stays
+clear, so the sum of two keys never carries; a product that would set it is
+refused (_combine).  16-bit fields keep a key of (x, xi) a one-digit CPython
+int while its semidegree lies in -2^14 .. 2^14 - 1.  num and terms are views
+keyed by exponent tuples, built on access.
 
 Coefficients are stored as FLINT's fmpq_poly stores them: nonzero integer
-numerators num over one common denominator den > 0, with no factor common
-to den and every numerator.  Every operation runs on these ints and divides
+numerators over one common denominator den > 0, with no factor common to
+den and every numerator.  Every operation runs on these ints and divides
 its result by their gcd once (_canonical); products of terms are summed in
 one kernel (_combine), which mul, power and evaluate share.  A Fraction is
 built only when terms or coeff is read.
@@ -19,90 +29,114 @@ built only when terms or coeff is read.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
-from operator import add
+from functools import reduce
+from math import ceil, gcd, inf, lcm
+from operator import or_
 from types import MappingProxyType
 
 from .errors import PreconditionError
 
+_W = 16  # bits per later exponent
+_MASK = (1 << _W) - 1
+_LIMIT = 1 << (_W - 1)  # later exponents stay below it
+
 
 class Poly:
     """Map from exponent tuples to nonzero rational coefficients, stored as
-    integer numerators num over the denominator den, with the names of its
-    variables (the first one is x)."""
+    integer numerators over the denominator den under packed keys, with the
+    names of its variables (the first one is x)."""
 
-    __slots__ = ("names", "num", "den")
+    __slots__ = ("names", "_num", "den")
 
     def __init__(self, names, terms=None):
         names = tuple(names)
-        coeffs: dict[tuple, Fraction] = {}
+        coeffs: dict[int, Fraction] = {}
         for key, c in (terms or {}).items():
             c = Fraction(c)
             if c:
-                key = tuple(key)
-                _check_key(key, names)
-                coeffs[key] = c
+                coeffs[_pack(tuple(key), names)] = c
         # over the lcm of reduced denominators no factor is common to all
         # numerators and the denominator, so the form is already canonical
         d = 1
         for c in coeffs.values():
             d = lcm(d, c.denominator)
         self.names = names
-        self.num = {k: c.numerator * (d // c.denominator) for k, c in coeffs.items()}
+        self._num = {k: c.numerator * (d // c.denominator) for k, c in coeffs.items()}
         self.den = d
 
     @classmethod
     def _make(cls, names: tuple, num: dict, den: int) -> "Poly":
-        """Wrap numerators that are already canonical (see _canonical)."""
+        """Wrap packed numerators that are already canonical (see _canonical)."""
         out = object.__new__(cls)
         out.names = names
-        out.num = num
+        out._num = num
         out.den = den
         return out
 
     @classmethod
     def monomial(cls, names, key, c=1) -> "Poly":
-        names, key = tuple(names), tuple(key)
-        _check_key(key, names)
+        names = tuple(names)
+        key = _pack(tuple(key), names)
         n, d = _ratio(c)
         if not n:
             return cls._make(names, {}, 1)
         return cls._make(names, {key: n}, d)
 
     @property
+    def num(self) -> MappingProxyType:
+        """Read-only map from exponent tuples to integer numerators."""
+        n = len(self.names)
+        return MappingProxyType({_unpack(k, n): v for k, v in self._num.items()})
+
+    @property
     def terms(self) -> MappingProxyType:
         """Read-only map from exponent tuples to Fraction coefficients."""
-        d = self.den
-        return MappingProxyType({k: Fraction(v, d) for k, v in self.num.items()})
+        n, d = len(self.names), self.den
+        return MappingProxyType({_unpack(k, n): Fraction(v, d) for k, v in self._num.items()})
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._num
+
+    def _exponents(self, i: int = 0) -> list[int]:
+        """The exponent of variable i in each term, in the order of the store."""
+        s, mask = _W * (len(self.names) - 1 - i), _MASK if i else -1
+        return [k >> s & mask for k in self._num]
 
     def deg(self, i: int = 0) -> int:
         """Largest exponent of variable i."""
-        if not self.num:
+        if not self._num:
             raise PreconditionError("deg of the zero polynomial is undefined")
-        return max(key[i] for key in self.num)
+        if not i:  # int order starts with the first exponent
+            return max(self._num) >> _W * (len(self.names) - 1)
+        return max(self._exponents(i))
 
     def ord(self, i: int = 0) -> int:
         """Smallest exponent of variable i."""
-        if not self.num:
+        if not self._num:
             raise PreconditionError("ord of the zero polynomial is undefined")
-        return min(key[i] for key in self.num)
+        if not i:
+            return min(self._num) >> _W * (len(self.names) - 1)
+        return min(self._exponents(i))
 
     def leading(self, i: int = 0) -> "Poly":
         """The terms whose exponent of variable i is deg(i)."""
         d = self.deg(i)
-        return _canonical(self.names, {k: v for k, v in self.num.items() if k[i] == d}, self.den)
+        if i:
+            num = self._num
+            top = {k: v for k, e, v in zip(num, self._exponents(i), num.values()) if e == d}
+        else:  # the keys from the smallest one of first exponent d up
+            low = d << _W * (len(self.names) - 1)
+            top = {k: v for k, v in self._num.items() if k >= low}
+        return _canonical(self.names, top, self.den)
 
     def coeff(self, key) -> Fraction:
-        return Fraction(self.num.get(tuple(key), 0), self.den)
+        return Fraction(self._num.get(_pack(tuple(key), self.names), 0), self.den)
 
     def __add__(self, other: "Poly") -> "Poly":
         return self._add(other, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly._make(self.names, {k: -v for k, v in self.num.items()}, self.den)
+        return Poly._make(self.names, {k: -v for k, v in self._num.items()}, self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self._add(other, -1)
@@ -112,9 +146,9 @@ class Poly:
         da, db = self.den, other.den
         d = lcm(da, db)
         ma, mb = d // da, sign * (d // db)
-        out = {k: v * ma for k, v in self.num.items()} if ma != 1 else dict(self.num)
+        out = {k: v * ma for k, v in self._num.items()} if ma != 1 else dict(self._num)
         get = out.get
-        for k, v in other.num.items():
+        for k, v in other._num.items():
             out[k] = get(k, 0) + v * mb
         return _canonical(self.names, {k: v for k, v in out.items() if v}, d)
 
@@ -128,14 +162,14 @@ class Poly:
         """self * n/d for ints n and d > 0."""
         if not n:
             return Poly._make(self.names, {}, 1)
-        return _canonical(self.names, {k: v * n for k, v in self.num.items()}, self.den * d)
+        return _canonical(self.names, {k: v * n for k, v in self._num.items()}, self.den * d)
 
     def mul(self, other: "Poly", floor=-inf) -> "Poly":
         """The terms of self * other whose first exponent is at least floor;
         the products of terms that fall below it are never formed.  The
         numerators are multiplied and summed as ints (see _combine)."""
-        rhs = sorted(other.num.items(), key=lambda t: t[0][0], reverse=True)
-        rows = ((k, n, rhs) for k, n in self.num.items())
+        rhs = sorted(other._num.items(), reverse=True)
+        rows = ((k, n, rhs) for k, n in self._num.items())
         return _combine(self.names, rows, self.den * other.den, floor)
 
     def __pow__(self, n: int) -> "Poly":
@@ -149,7 +183,7 @@ class Poly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if n == 0:
-            result = Poly._make(self.names, {(0,) * len(self.names): 1}, 1)
+            result = Poly._make(self.names, {0: 1}, 1)
         elif self.is_zero():
             result = self
         else:
@@ -165,8 +199,9 @@ class Poly:
                 if rest:
                     step *= 2
                     base = base.mul(base, floor - (n - step) * d)
-        kept = {k: v for k, v in result.num.items() if k[0] >= floor}
-        return result if len(kept) == len(result.num) else _canonical(self.names, kept, result.den)
+        low = _key_floor(floor, _W * (len(self.names) - 1))
+        kept = {k: v for k, v in result._num.items() if k >= low}
+        return result if len(kept) == len(result._num) else _canonical(self.names, kept, result.den)
 
     def evaluate(self, images) -> "Poly":
         """self(images[0], images[1], ..., images[n-1]) in the ring of the
@@ -180,25 +215,32 @@ class Poly:
         """
         cache: dict[tuple[int, int], Poly] = {}
         names = images[0].names
-        ((m, cn),) = images[0].num.items()
+        ((m, cn),) = images[0]._num.items()
         cd = images[0].den
-        # numerators and denominator of the product of powers per exponent
-        # tuple of images[1:]; no powers at all give 1
-        prods = {(0,) * (len(self.names) - 1): ([((0,) * len(names), 1)], 1)}
+        # x^a maps to the key a*m, packed afresh (and checked) when m has a
+        # later exponent that a*m could carry or make negative
+        mt = _unpack(m, len(names))
+        plain = not any(mt[1:])
+        n_vars = len(self.names)
+        shift = _W * (n_vars - 1)
+        later = (1 << shift) - 1
+        # numerators and denominator of the product of powers per packed
+        # exponents of images[1:]; no powers at all give 1
+        prods = {0: ([(0, 1)], 1)}
         parts = []
         d = 1
-        for key, v in self.num.items():
-            ys = key[1:]
+        for key, v in self._num.items():
+            ys = key & later
             if ys not in prods:
                 prod = None
-                for j, b in enumerate(ys, 1):
+                for j, b in enumerate(_unpack(ys, n_vars)[1:], 1):
                     if b:
                         pw = _power(images, j, b, cache)
                         prod = pw if prod is None else prod * pw
-                prods[ys] = (list(prod.num.items()), prod.den)
+                prods[ys] = (list(prod._num.items()), prod.den)
             q, dq = prods[ys]
             # v * c^a over dq, c = cn/cd, with a positive denominator
-            a = key[0]
+            a = key >> shift
             if a >= 0:
                 n, dn = v * cn**a, cd**a * dq
             else:
@@ -206,7 +248,8 @@ class Poly:
                 if dn < 0:
                     n, dn = -n, -dn
             d = lcm(d, dn)
-            parts.append((tuple(a * e for e in m), n, dn, q))
+            s = a * m if plain else _pack(tuple(a * e for e in mt), names)
+            parts.append((s, n, dn, q))
         rows = ((s, n * (d // dn), q) for s, n, dn, q in parts)
         return _combine(names, rows, self.den * d)
 
@@ -215,17 +258,18 @@ class Poly:
             isinstance(other, Poly)
             and self.names == other.names
             and self.den == other.den
-            and self.num == other.num
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash((self.names, self.den, frozenset(self.num.items())))
+        return hash((self.names, self.den, frozenset(self._num.items())))
 
     def format(self) -> str:
         """Terms ordered by the last variable's exponent first, then the one
         before it, down to x, each descending."""
-        keys = sorted(self.num, key=lambda k: k[::-1], reverse=True)
-        return format_terms(((k, Fraction(self.num[k], self.den)) for k in keys), self.names)
+        num = self.num
+        keys = sorted(num, key=lambda k: k[::-1], reverse=True)
+        return format_terms(((k, Fraction(num[k], self.den)) for k in keys), self.names)
 
     def __repr__(self) -> str:
         return self.format()
@@ -237,11 +281,35 @@ def _ratio(v) -> tuple[int, int]:
     return (v, 1) if type(v) is int else Fraction(v).as_integer_ratio()
 
 
-def _check_key(key: tuple, names: tuple) -> None:
-    if len(key) != len(names):
-        raise ValueError(f"term key {key} does not match the variables {names}")
-    if any(e < 0 for e in key[1:]):
-        raise ValueError(f"negative exponent of {names[1:]} in {key}")
+def _pack(key: tuple, names: tuple) -> int:
+    """The int of the exponent tuple key over names (see the module
+    docstring).  The one home of the key rule: one integer per variable,
+    every later one in 0 .. 2^15 - 1."""
+    if not key or len(key) != len(names) or not isinstance(key[0], int):
+        raise PreconditionError(f"term key {key} is not one integer per variable of {names}")
+    k = key[0]
+    for e in key[1:]:
+        if not isinstance(e, int) or not 0 <= e < _LIMIT:
+            raise PreconditionError(
+                f"exponent {e!r} of {names[1:]} in {key} is not an integer in 0 .. 2^{_W - 1} - 1"
+            )
+        k = k << _W | e
+    return k
+
+
+def _unpack(k: int, n: int) -> tuple[int, ...]:
+    """The exponent tuple of n variables packed in k."""
+    later = []
+    for _ in range(n - 1):
+        later.append(k & _MASK)
+        k >>= _W
+    return (k, *reversed(later))
+
+
+def _key_floor(floor, shift: int):
+    """The smallest key whose first exponent, the bits from shift up, is at
+    least floor (-inf stays)."""
+    return floor if floor == -inf else ceil(floor) << shift
 
 
 def _canonical(names: tuple, num: dict, den: int) -> Poly:
@@ -263,19 +331,26 @@ def _canonical(names: tuple, num: dict, den: int) -> Poly:
 
 def _combine(names: tuple, rows, d: int, floor=-inf) -> Poly:
     """The terms at or above floor of the sum of n * x^s * q / d over the
-    rows (s, n, q): s an exponent tuple, n an int and q a list of (key, int)
-    pairs, sorted by first exponent, largest first, when floor is finite.
-    The sums are ints, reduced once by their gcd with d.  The integer
-    kernel of mul and evaluate."""
-    out: dict[tuple, int] = {}
+    rows (s, n, q): s a key, n an int and q a list of (key, int) pairs,
+    sorted by key, largest first, when floor is finite.  The sums are ints,
+    reduced once by their gcd with d.  The integer kernel of mul and
+    evaluate, and the one place where exponents add: a later exponent that
+    reaches 2^15 is refused here, before a further product could carry it
+    into the field above."""
+    shift = _W * (len(names) - 1)
+    floor = _key_floor(floor, shift)
+    out: dict[int, int] = {}
     get = out.get
     for s, n, q in rows:
-        low = floor - s[0]
+        low = floor - s
         for k, v in q:
-            if k[0] < low:
+            if k < low:
                 break
-            k = tuple(map(add, s, k))
+            k += s
             out[k] = get(k, 0) + n * v
+    # the top bit of every field below the first exponent
+    if reduce(or_, out, 0) & _LIMIT * ((1 << shift) - 1) // _MASK:
+        raise PreconditionError(f"an exponent of {names[1:]} in a product is 2^{_W - 1} or more")
     return _canonical(names, {k: v for k, v in out.items() if v}, d)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvariantViolationError, PreconditionError, SeriesParseError
-from .poly import Poly, _ratio
+from .poly import Poly, _pack, _ratio
 from .puiseux import (
     CharacteristicData,
     Orientation,
@@ -137,8 +137,8 @@ class GenericDPS:
                 "semidegree exponent is not an integer", delta_x=dx, g=self
             )
         step = dx // phi._den
-        num = {(step * n, 0): c for n, c in phi._num.items()}
-        num[(dx // self._r_den * self._r_num, 1)] = phi._cden
+        num = {_pack((step * n, 0), XI): c for n, c in phi._num.items()}
+        num[_pack((dx // self._r_den * self._r_num, 1), XI)] = phi._cden
         return Poly._make(XI, num, phi._cden)
 
     def truncated(self, k: int) -> "GenericDPS":

@@ -29,6 +29,9 @@ quantity from first principles by a different route than the library:
 * ``puiseux_oracle`` -- the views of a finite Puiseux series from a plain
   dict of Fraction exponents to Fraction coefficients (the package stores
   integer numerators over one exponent and one coefficient denominator).
+* ``poly_oracle`` -- a sparse polynomial as a plain dict from exponent
+  tuples to Fractions, every operation done term by term (the package packs
+  each exponent tuple into one int and keeps integer numerators).
 
 Run as a script to print the frozen values used in the deterministic tests.
 """
@@ -172,6 +175,54 @@ def evaluate_oracle(f: dict, images: list[dict]) -> dict:
         for k, v in term.items():
             out[k] = out.get(k, Fraction(0)) + v
     return {k: c for k, c in out.items() if c}
+
+
+class poly_oracle:
+    """Poly's operations on a plain dict terms from exponent tuples over
+    names to nonzero Fractions.  Products and substitutions go through
+    product_oracle and evaluate_oracle; a floor keeps the terms whose first
+    exponent is at least floor, after the whole product is formed."""
+
+    def __init__(self, names, terms):
+        self.names = tuple(names)
+        self.terms = {tuple(k): Fraction(c) for k, c in terms.items() if c}
+
+    def _new(self, terms: dict) -> "poly_oracle":
+        return poly_oracle(self.names, terms)
+
+    def above(self, floor) -> "poly_oracle":
+        return self._new({k: c for k, c in self.terms.items() if k[0] >= floor})
+
+    def add(self, other: "poly_oracle", sign: int = 1) -> "poly_oracle":
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, Fraction(0)) + sign * c
+        return self._new(out)
+
+    def scaled(self, c) -> "poly_oracle":
+        return self._new({k: v * Fraction(c) for k, v in self.terms.items()})
+
+    def mul(self, other: "poly_oracle", floor=float("-inf")) -> "poly_oracle":
+        return self._new(product_oracle(self.terms, other.terms)).above(floor)
+
+    def power(self, n: int, floor=float("-inf")) -> "poly_oracle":
+        out = {(0,) * len(self.names): Fraction(1)}
+        for _ in range(n):
+            out = product_oracle(out, self.terms)
+        return self._new(out).above(floor)
+
+    def evaluate(self, images) -> "poly_oracle":
+        return poly_oracle(images[0].names, evaluate_oracle(self.terms, [i.terms for i in images]))
+
+    def deg(self, i: int = 0) -> int:
+        return max(k[i] for k in self.terms)
+
+    def ord(self, i: int = 0) -> int:
+        return min(k[i] for k in self.terms)
+
+    def leading(self, i: int = 0) -> "poly_oracle":
+        d = self.deg(i)
+        return self._new({k: c for k, c in self.terms.items() if k[i] == d})
 
 
 # --- dual graph by blow-up simulation ----------------------------------------

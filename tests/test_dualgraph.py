@@ -1,6 +1,7 @@
 """Weighted dual graphs: construction, Grauert check, exports."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -178,6 +179,19 @@ def test_negative_definite_basics():
         match=r"the matrix must be symmetric: entry \(2, 1\) is 3 but entry \(1, 2\) is 0",
     ):
         is_negative_definite([[-5, 0, 0], [0, -5, 0], [0, 3, -5]])
+    nan, inf = float("nan"), float("inf")
+    for matrix, where, what in (
+        ([[nan]], "(0, 0)", "nan"),
+        ([[-2, 0], [0, inf]], "(1, 1)", "inf"),
+        ([[-2, -inf], [-inf, -2]], "(0, 1)", "-inf"),
+        ([[None]], "(0, 0)", "None"),
+        ([["a"]], "(0, 0)", "'a'"),
+        # nan != nan, yet the pair is a bad entry, not an asymmetric one
+        ([[-2, nan], [nan, -2]], "(0, 1)", "nan"),
+    ):
+        message = f"entry {where} of the matrix is {what}, not a finite rational number"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            is_negative_definite(matrix)
 
 
 def _seeded_symmetric_matrices(count: int, seed: int):
