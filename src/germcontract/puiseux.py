@@ -23,6 +23,7 @@ when a view (terms, support, coeff, ord, deg) is read.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -61,8 +62,8 @@ class PuiseuxPoly:
     exponents rejected.  Supports either orientation; all exponent-order
     conventions (significance, ord/deg) follow the orientation.  The
     characteristic pairs are walked once, by the first puiseux_pairs call,
-    and kept in _pairs; keep_above and local_to_degreewise set them without
-    a walk when they are known.
+    and kept in _pairs; the private _above (for the generic series) and
+    local_to_degreewise set them without a walk when they are known.
     """
 
     __slots__ = ("orientation", "_num", "_den", "_cden", "_pairs")
@@ -127,15 +128,15 @@ class PuiseuxPoly:
             raise PreconditionError("deg of the zero series is undefined")
         return Fraction(next(iter(self._num)), self._den)
 
-    def keep_above(self, threshold, pairs=None) -> "PuiseuxPoly":
-        """Sub-sum of terms with exponent strictly greater than threshold.
-        A caller that knows the characteristic pairs of the result passes
-        them as pairs (CharacteristicData, not checked) to spare the walk;
-        they are dropped when the result is zero, which has none."""
-        return self._above(*_ratio(threshold), pairs)
+    def keep_above(self, threshold) -> "PuiseuxPoly":
+        """Sub-sum of terms with exponent strictly greater than threshold."""
+        return self._above(*_ratio(threshold))
 
     def _above(self, a: int, b: int, pairs=None) -> "PuiseuxPoly":
-        """keep_above(a/b, pairs) for ints a and b > 0."""
+        """keep_above(a/b) for ints a and b > 0.  A caller that knows the
+        characteristic pairs of the result passes them as pairs
+        (CharacteristicData, not checked) to spare the walk; they are
+        dropped when the result is zero, which has none."""
         d = self._den
         out = _canonical(
             self.orientation, {n: c for n, c in self._num.items() if n * b > a * d}, d, self._cden
@@ -146,17 +147,10 @@ class PuiseuxPoly:
 
     def with_term(self, e, c) -> "PuiseuxPoly":
         """Copy with one extra term (the exponent must be fresh)."""
-        e, c = _ratio(e), _ratio(c)
-        d, cd = self._den, self._cden
-        terms = {}
-        for n, v in self._num.items():
-            g, h = gcd(n, d), gcd(v, cd)
-            terms[(n // g, d // g)] = (v // h, cd // h)
+        e, terms = Fraction(e), self.terms
         if e in terms:
-            raise ValueError(f"exponent {Fraction(*e)} already present")
-        if c[0]:
-            terms[e] = c
-        return PuiseuxPoly._make(self.orientation, *_store(self.orientation, terms))
+            raise ValueError(f"exponent {e} already present")
+        return PuiseuxPoly(self.orientation, {**terms, e: c})
 
     def polydromy(self) -> int:
         """lcm of the exponent denominators (1 for the zero series)."""
@@ -417,112 +411,22 @@ def _flip(phi: PuiseuxPoly, orientation: Orientation) -> PuiseuxPoly:
 # ---------------------------------------------------------------------------
 # text form
 #
-# series   := ['-'] term (('+'|'-') term)*
-# term     := coeff | [coeff '*'] var ['^' exponent]
-# coeff    := integer ['/' integer]
-# exponent := ['-'] integer | '(' ['-'] integer ['/' integer] ')'
-# integer  := digit+
+# series   := ['-'] term (('+' | '-') term)*
+# term     := (coeff | factor) ('*' factor)*     each variable at most once
+# factor   := var ['^' exponent]
+# coeff    := digits ['/' digits]
+# exponent := integer | '(' integer ['/' digits] ')'
+# integer  := ['-'] digits
+# var      := letter digits*
 #
-# The variable letter decides the orientation: u = local, x = degree-wise.
+# Whitespace may stand between any two tokens except between the '-' of an
+# integer and its digits and between a numerator and its '/'; digits and
+# variable names hold none.  A denominator takes no sign.  The variable
+# letter decides the orientation: u = local, x = degree-wise.
 
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self) -> str:
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.i += 1
-        return ch
-
-    def fail(self, message: str):
-        raise SeriesParseError(message, self.i)
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.i
-        if self.peek() == "-":
-            self.i += 1
-        if not self.peek().isdigit():
-            self.fail("expected an integer")
-        while self.peek().isdigit():
-            self.i += 1
-        return int(self.text[start : self.i])
-
-    def rational(self) -> tuple[int, int]:
-        """integer ['/' integer] as a reduced numerator and positive
-        denominator; the denominator takes no sign."""
-        num = self.integer()
-        if self.peek() != "/":
-            return num, 1
-        self.i += 1
-        pos = self.i
-        self.skip_ws()
-        if self.peek() in ("+", "-"):
-            self.fail("sign in a denominator")
-        den = self.integer()
-        if den == 0:
-            raise SeriesParseError("zero denominator", pos)
-        g = gcd(num, den)
-        return num // g, den // g
-
-    def exponent(self) -> tuple[int, int]:
-        self.skip_ws()
-        if self.peek() == "(":
-            self.i += 1
-            value = self.rational()
-            self.skip_ws()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.i += 1
-            return value
-        return self.integer(), 1
-
-
-def _parse_term(sc: _Scanner, variables) -> tuple[tuple[int, int], dict[str, tuple[int, int]]]:
-    """One unsigned term: '*'-separated factors, at most one leading
-    coefficient, each variable at most once.  Returns (coeff, var -> exp),
-    each rational as a reduced (numerator, denominator) pair."""
-    coeff = (1, 1)
-    powers: dict[str, tuple[int, int]] = {}
-    saw_factor = False
-    while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        if ch.isdigit():
-            if saw_factor:
-                sc.fail("coefficient must come first in a term")
-            coeff = sc.rational()
-        elif ch.isalpha():
-            name = sc.take()
-            while sc.peek().isdigit():
-                name += sc.take()
-            if name not in variables:
-                sc.fail(f"unknown variable {name!r}")
-            if name in powers:
-                sc.fail(f"variable {name!r} repeated in one term")
-            exp = (1, 1)
-            sc.skip_ws()
-            if sc.peek() == "^":
-                sc.i += 1
-                exp = sc.exponent()
-            powers[name] = exp
-        else:
-            sc.fail("expected a coefficient or a variable")
-        saw_factor = True
-        sc.skip_ws()
-        if sc.peek() == "*":
-            sc.i += 1
-            continue
-        return coeff, powers
+# one token per match: the whitespace before it, then digits, a variable
+# name or any other single character
+_TOKEN = re.compile(r"(\s*)(\d+|[A-Za-z]\d*|\S)")
 
 
 def parse_terms(text: str, variables):
@@ -531,30 +435,100 @@ def parse_terms(text: str, variables):
     Yields (signed coefficient, variable -> exponent, term position) per
     term, each rational as a reduced (numerator, denominator) pair.
     """
-    sc = _Scanner(text)
-    sc.skip_ws()
-    if not sc.peek():
-        sc.fail("empty input")
-    sign = 1
-    if sc.peek() == "-":
-        sc.i += 1
-        sign = -1
+    # (text, start, whether whitespace came before), closed by an empty token
+    toks = [(m[2], m.start(2), bool(m[1])) for m in _TOKEN.finditer(text)]
+    toks.append(("", len(text), False))
+    if not toks[0][0]:
+        raise SeriesParseError("empty input", len(text))
+    sign, i = (-1, 1) if toks[0][0] == "-" else (1, 0)
     while True:
-        sc.skip_ws()
-        pos = sc.i
-        (n, d), powers = _parse_term(sc, variables)
+        pos = toks[i][1]
+        (n, d), powers, i = _term(toks, i, variables)
         yield (sign * n, d), powers, pos
-        sc.skip_ws()
-        ch = sc.peek()
-        if not ch:
+        t, at, _ = toks[i]
+        if not t:
             return
-        if ch == "+":
-            sign = 1
-        elif ch == "-":
-            sign = -1
+        if t not in ("+", "-"):
+            raise SeriesParseError(f"unexpected {t[0]!r}", at)
+        sign = -1 if t == "-" else 1
+        i += 1
+
+
+def _term(toks, i: int, variables) -> tuple[tuple[int, int], dict, int]:
+    """The unsigned term at toks[i] as (coeff, var -> exp, index after it),
+    each rational as a reduced (numerator, denominator) pair."""
+    first = i
+    coeff = (1, 1)
+    powers: dict[str, tuple[int, int]] = {}
+    while True:
+        t, at, _ = toks[i]
+        if t.isdecimal():
+            if i > first:
+                raise SeriesParseError("coefficient must come first in a term", at)
+            coeff, i = _rational(toks, i)
+        elif t[:1].isalpha():
+            if t not in variables:
+                raise SeriesParseError(f"unknown variable {t!r}", at + len(t))
+            if t in powers:
+                raise SeriesParseError(f"variable {t!r} repeated in one term", at + len(t))
+            exp, i = (1, 1), i + 1
+            if toks[i][0] == "^":
+                exp, i = _exponent(toks, i + 1)
+            powers[t] = exp
         else:
-            sc.fail(f"unexpected {ch!r}")
-        sc.i += 1
+            raise SeriesParseError("expected a coefficient or a variable", at)
+        if toks[i][0] != "*":
+            return coeff, powers, i
+        i += 1
+
+
+def _exponent(toks, i: int) -> tuple[tuple[int, int], int]:
+    """integer or '(' rational ')' at toks[i], and the index after it."""
+    if toks[i][0] != "(":
+        num, i = _integer(toks, i)
+        return (num, 1), i
+    value, i = _rational(toks, i + 1)
+    t, at, _ = toks[i]
+    if t != ")":
+        raise SeriesParseError("expected ')'", at)
+    return value, i + 1
+
+
+def _rational(toks, i: int) -> tuple[tuple[int, int], int]:
+    """integer ['/' digits] at toks[i] as a reduced numerator and positive
+    denominator, and the index after it.  A '/' after whitespace is left to
+    the caller."""
+    num, i = _integer(toks, i)
+    t, at, spaced = toks[i]
+    if t != "/" or spaced:
+        return (num, 1), i
+    t, sign_at, _ = toks[i + 1]
+    if t in ("+", "-"):
+        raise SeriesParseError("sign in a denominator", sign_at)
+    den, i = _integer(toks, i + 1)
+    if not den:
+        raise SeriesParseError("zero denominator", at + 1)
+    g = gcd(num, den)
+    return (num // g, den // g), i
+
+
+def _integer(toks, i: int) -> tuple[int, int]:
+    """['-'] digits at toks[i], the digits right after the sign, and the
+    index after them."""
+    t, at, _ = toks[i]
+    sign = 1
+    if t == "-":
+        i += 1
+        t, start, spaced = toks[i]
+        if spaced or not t.isdecimal():
+            raise SeriesParseError("expected an integer", at + 1)
+        sign, at = -1, start
+    elif not t.isdecimal():
+        raise SeriesParseError("expected an integer", at)
+    try:
+        return sign * int(t), i + 1
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise SeriesParseError("integer has too many digits", at) from None
 
 
 def parse_puiseux(text: str, orientation: Orientation | None = None) -> PuiseuxPoly:

@@ -32,6 +32,10 @@ quantity from first principles by a different route than the library:
 * ``poly_oracle`` -- a sparse polynomial as a plain dict from exponent
   tuples to Fractions, every operation done term by term (the package packs
   each exponent tuple into one int and keeps integer numerators).
+* ``parse_terms_oracle`` -- the series and polynomial text read one
+  character at a time by a scanner object (the package tokenizes the text
+  with one regular expression); on a digit that ``int`` cannot read, such
+  as ``²``, it raises a bare ``ValueError``.
 
 Run as a script to print the frozen values used in the deterministic tests.
 """
@@ -145,6 +149,149 @@ def puiseux_oracle(terms, local: bool) -> dict:
         "lead": support[0] if support else None,
         "polydromy": polydromy,
     }
+
+
+# --- series text ---------------------------------------------------------------
+
+
+class SeriesParseError(ValueError):
+    """The package's parse error, restated so this module imports nothing of
+    the package: the message with its position, and the position."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.i = 0
+
+    def skip_ws(self):
+        while self.i < len(self.text) and self.text[self.i].isspace():
+            self.i += 1
+
+    def peek(self) -> str:
+        return self.text[self.i] if self.i < len(self.text) else ""
+
+    def take(self) -> str:
+        ch = self.peek()
+        self.i += 1
+        return ch
+
+    def fail(self, message: str):
+        raise SeriesParseError(message, self.i)
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.i
+        if self.peek() == "-":
+            self.i += 1
+        if not self.peek().isdigit():
+            self.fail("expected an integer")
+        while self.peek().isdigit():
+            self.i += 1
+        return int(self.text[start : self.i])
+
+    def rational(self) -> tuple[int, int]:
+        """integer ['/' integer] as a reduced numerator and positive
+        denominator; the denominator takes no sign."""
+        num = self.integer()
+        if self.peek() != "/":
+            return num, 1
+        self.i += 1
+        pos = self.i
+        self.skip_ws()
+        if self.peek() in ("+", "-"):
+            self.fail("sign in a denominator")
+        den = self.integer()
+        if den == 0:
+            raise SeriesParseError("zero denominator", pos)
+        g = gcd(num, den)
+        return num // g, den // g
+
+    def exponent(self) -> tuple[int, int]:
+        self.skip_ws()
+        if self.peek() == "(":
+            self.i += 1
+            value = self.rational()
+            self.skip_ws()
+            if self.peek() != ")":
+                self.fail("expected ')'")
+            self.i += 1
+            return value
+        return self.integer(), 1
+
+
+def _parse_term(sc: _Scanner, variables) -> tuple[tuple[int, int], dict[str, tuple[int, int]]]:
+    """One unsigned term: '*'-separated factors, at most one leading
+    coefficient, each variable at most once.  Returns (coeff, var -> exp),
+    each rational as a reduced (numerator, denominator) pair."""
+    coeff = (1, 1)
+    powers: dict[str, tuple[int, int]] = {}
+    saw_factor = False
+    while True:
+        sc.skip_ws()
+        ch = sc.peek()
+        if ch.isdigit():
+            if saw_factor:
+                sc.fail("coefficient must come first in a term")
+            coeff = sc.rational()
+        elif ch.isalpha():
+            name = sc.take()
+            while sc.peek().isdigit():
+                name += sc.take()
+            if name not in variables:
+                sc.fail(f"unknown variable {name!r}")
+            if name in powers:
+                sc.fail(f"variable {name!r} repeated in one term")
+            exp = (1, 1)
+            sc.skip_ws()
+            if sc.peek() == "^":
+                sc.i += 1
+                exp = sc.exponent()
+            powers[name] = exp
+        else:
+            sc.fail("expected a coefficient or a variable")
+        saw_factor = True
+        sc.skip_ws()
+        if sc.peek() == "*":
+            sc.i += 1
+            continue
+        return coeff, powers
+
+
+def parse_terms_oracle(text: str, variables):
+    """Signed-sum driver shared by the series and polynomial parsers.
+
+    Yields (signed coefficient, variable -> exponent, term position) per
+    term, each rational as a reduced (numerator, denominator) pair.
+    """
+    sc = _Scanner(text)
+    sc.skip_ws()
+    if not sc.peek():
+        sc.fail("empty input")
+    sign = 1
+    if sc.peek() == "-":
+        sc.i += 1
+        sign = -1
+    while True:
+        sc.skip_ws()
+        pos = sc.i
+        (n, d), powers = _parse_term(sc, variables)
+        yield (sign * n, d), powers, pos
+        sc.skip_ws()
+        ch = sc.peek()
+        if not ch:
+            return
+        if ch == "+":
+            sign = 1
+        elif ch == "-":
+            sign = -1
+        else:
+            sc.fail(f"unexpected {ch!r}")
+        sc.i += 1
 
 
 # --- sparse polynomials ------------------------------------------------------

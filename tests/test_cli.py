@@ -249,6 +249,9 @@ PARSE_FAILS = [
     ["analyze", "--series", "u^(1/-2)", "--r", "1"],
     ["analyze", "--series", "2/-3*u^(3/5)", "--r", "1"],
     ["singlepair", "--poly", "v^5 - 1/-2*u^3", "--p", "5", "--q", "3", "--r", "1"],
+    # '²'.isdigit() holds, but int('²') raises
+    ["analyze", "--series", "u^²", "--r", "1"],
+    ["analyze", "--series", "u^(1/²)", "--r", "1"],
 ]
 
 
@@ -377,6 +380,15 @@ def test_module_entry_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["contractible"] is True
+
+
+def test_malformed_series_exits_2_without_a_traceback():
+    proc = _run_pinned(
+        [sys.executable, "-m", "germcontract", "analyze", "--series", "u^²", "--r", "1"]
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_closed_stdout_exits_1_quietly():

@@ -1,6 +1,7 @@
 """Series parsing/printing, orientation conversion, the pair walk, and the
 integer store against a Fraction-dict oracle."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import puiseux_oracle
+from oracles import SeriesParseError as OracleParseError
+from oracles import parse_terms_oracle, puiseux_oracle
 from strategies import generic_series
 
 from germcontract import (
@@ -25,7 +27,7 @@ from germcontract import (
     parse_puiseux,
     puiseux_pairs,
 )
-from germcontract.puiseux import local_pair_data
+from germcontract.puiseux import local_pair_data, parse_terms
 from germcontract.semidegree import XI
 
 F = Fraction
@@ -78,11 +80,24 @@ def test_parse_drops_zero_coefficients():
         "y^2",
         "u^2 ~ u",
         "3/2/5*u",
+        "u^²",
+        "²*u",
+        "u^(1/²)",
     ],
 )
 def test_parse_errors(bad):
     with pytest.raises(SeriesParseError):
         parse_puiseux(bad)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() reads any length"
+)
+def test_integer_past_the_digit_limit_is_a_parse_error():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(SeriesParseError, match="too many digits") as err:
+        parse_puiseux(f"u^(1/{digits})")
+    assert err.value.position == 5
 
 
 def test_parse_error_carries_position():
@@ -141,6 +156,14 @@ def test_keep_above_is_strict():
     phi = parse_puiseux("u^(3/5) + u^2")
     assert dict(phi.keep_above(F(3, 5)).terms) == {F(2): 1}
     assert phi.keep_above(F(1, 2)) == phi
+
+
+def test_keep_above_takes_no_pairs():
+    # unchecked pairs would poison the kept walk: these are not the kept series'
+    phi = parse_puiseux("u^(3/5) + u^2")
+    with pytest.raises(TypeError):
+        phi.keep_above(0, pairs=CharacteristicData(((1, 2),), 2))
+    assert puiseux_pairs(phi.keep_above(0)).pairs == ((3, 5),)
 
 
 def test_with_term_requires_fresh_exponent():
@@ -283,6 +306,61 @@ def test_signed_numerators_still_parse():
     phi = parse_puiseux("-u^(-1/2) - 2/3*u")
     assert dict(phi.terms) == {F(-1, 2): -1, F(1): F(-2, 3)}
     assert dict(parse_puiseux("u^(2/4) + 4/6").terms) == {F(1, 2): 1, F(0): F(2, 3)}
+
+
+# --- the token parser against the character scanner --------------------------
+
+# characters of the grammar, whitespace, and characters outside ASCII: a
+# digit int() cannot read (²), one it can (٣), a letter, a vulgar fraction
+# and a no-break space
+TEXT_PIECES = (
+    "u", "x", "y", "v", "u2", "0", "2", "13", "^", "(", ")", "/", "*", "+", "-",
+    " ", "\t", "²", "٣", "é", "½", "\u00a0",
+)
+TEXT_TERMS = (
+    "u", "x", "y^2", "13", "2/4", "u^(3/5)", "x^-2", "2*y ^ ( -1/ 3 )", "0*v", "u*v",
+    "٣/5*u^(1/٣)",
+)
+
+
+@st.composite
+def series_texts(draw):
+    """A run of pieces, or a signed sum of terms with at most one piece put
+    in somewhere."""
+    piece = st.sampled_from(TEXT_PIECES)
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(piece, max_size=12)))
+    terms = draw(st.lists(st.sampled_from(TEXT_TERMS), min_size=1, max_size=4))
+    text = draw(st.sampled_from(["", "-", " - "])) + draw(st.sampled_from(["+", " - "])).join(terms)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(piece) + text[k:]
+    return text
+
+
+def _outcome(parse, text, variables):
+    """The yields of parse, or its error as (type, message, position)."""
+    try:
+        return list(parse(text, variables))
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    text=series_texts(),
+    variables=st.sampled_from([("u", "x"), ("x", "y"), ("u", "v")]),
+)
+def test_parse_terms_matches_the_scanner(text, variables):
+    want = _outcome(parse_terms_oracle, text, variables)
+    got = _outcome(parse_terms, text, variables)
+    if isinstance(want, list):
+        assert got == want
+        return
+    # a rejection, or a bare ValueError where the scanner crashed on '²'
+    assert got[0] is SeriesParseError
+    if want[0] is OracleParseError and text.isascii():
+        assert got[1:] == want[1:]
 
 
 # --- the integer store against the Fraction-dict oracle ----------------------
