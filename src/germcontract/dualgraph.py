@@ -181,8 +181,8 @@ def is_negative_definite(matrix) -> bool:
     vertex of degree <= 1: each step removes a leaf and updates one
     diagonal entry, so past the one O(n^2) read of the dense input the
     elimination costs n heap operations.  Raises PreconditionError when the
-    matrix is not square or not symmetric, or when an entry it reads (the
-    diagonal and every nonzero entry) is not a finite rational number.
+    matrix is not square or not symmetric, or when an entry is neither a
+    zero (an entry equal to 0) nor a finite rational number.
     """
     n = len(matrix)
     for i, row in enumerate(matrix):
@@ -196,7 +196,9 @@ def is_negative_definite(matrix) -> bool:
         for i, row in enumerate(matrix):
             j = i
             diag.append(Fraction(row[i]))
+            kept = 0
             for j in compress(range(n), row):
+                kept += 1
                 if matrix[j][i] != row[j]:
                     Fraction(row[j])  # nan != nan: a bad entry, not an asymmetry
                     raise PreconditionError(
@@ -205,6 +207,12 @@ def is_negative_definite(matrix) -> bool:
                     )
                 if j > i:
                     adj[i][j] = adj[j][i] = Fraction(row[j])
+            # compress skips every falsy entry: each must be a zero
+            if kept + row.count(0) != n:
+                j = next(j for j, v in enumerate(row) if not v and v != 0)
+                raise PreconditionError(
+                    f"entry ({i}, {j}) of the matrix is {row[j]!r}, not a finite rational number"
+                )
     except PreconditionError:
         raise
     except (TypeError, ValueError, OverflowError):

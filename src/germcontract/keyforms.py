@@ -30,6 +30,14 @@ redone from level 1 with W doubled; W starts at 16.  Once W spans every
 product nothing is cut, so the engine then is the exact one and the reruns
 end.  W comes from the series alone and never from the closed-form poles, so
 the omegas stay an independent check of virtual_poles.
+
+A level keeps its raised power as integer numerators over one denominator
+and changes them in place.  Each step reads the top term once, for its
+degree, its coefficient and whether it is free of xi, and subtracts the
+scaled correction x^a0 * f_1^b_1 ... f_k^b_k.  The x^a0 factor is a shift of
+every key and of the floor by a0*omega_0, which is the window product with
+that monomial, because a power that is exact spans at most W.  The series
+is divided by its content gcd once, when the level ends.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 
 from .errors import InvariantViolationError, PreconditionError
-from .poly import Poly, _canonical, _pack
+from .poly import Poly, _canonical, _pack, _subtract_into, _top_term, _x_offset
 from .semidegree import XI, XY, GenericDPS, substitute
 
 
@@ -214,20 +222,23 @@ def essential_key_forms(g: GenericDPS) -> EssentialKeyForms:
 
 
 _FIRST_WIDTH = 16
+_ONE = Poly.monomial(XI, (0, 0))
 
 
 class _WindowTooSmall(Exception):
     """A read fell below an exactness floor: rerun with a wider window."""
 
 
-def _top(s: Poly, floor) -> int:
-    """deg(s), which is exact only at or above the floor of s."""
-    if s.is_zero() and floor > -inf:
+def _top(num: dict, floor) -> tuple[int, bool, int]:
+    """The top semidegree of the numerators num of a series keyed (x, xi),
+    whether its term is free of xi, and its numerator; the degree is exact
+    only at or above the floor of the series."""
+    if not num and floor > -inf:
         raise _WindowTooSmall
-    d = s.deg()
-    if d < floor:
+    top = _top_term(num, XI)
+    if top[0] < floor:
         raise _WindowTooSmall
-    return d
+    return top
 
 
 def _window_floor(from_factors, top, low, width):
@@ -243,14 +254,14 @@ def _window_floor(from_factors, top, low, width):
 
 def _times(a: Poly, fa, b: Poly, fb, width: int) -> tuple[Poly, float | int]:
     """a*b with its floor, where a and b are exact at or above fa and fb."""
-    da, db = _top(a, fa), _top(b, fb)
+    da, db = _top(a._num, fa)[0], _top(b._num, fb)[0]
     floor = _window_floor(max(fa + db, fb + da), da + db, a.ord() + b.ord(), width)
     return a.mul(b, floor), floor
 
 
 def _power(s: Poly, f, b: int, width: int) -> tuple[Poly, float | int]:
     """s**b with its floor, where s is exact at or above f."""
-    d = _top(s, f)
+    d = _top(s._num, f)[0]
     floor = _window_floor((b - 1) * d + f, b * d, b * s.ord(), width)
     return s.power(b, floor), floor
 
@@ -281,10 +292,12 @@ def _absorb(g: GenericDPS, subs, width: int):
     for k in range(1, l + 1):
         s, fs = power(k, ps[k - 1])
         w_stop = _stopping_exponent(s, fs, k, l, cum)
+        # s as numerators over one denominator, changed in place step by step
+        num, den = dict(s._num), s.den
         level: list[tuple[tuple[int, ...], tuple[int, int]]] = []
         last_deg: int | None = None
         while True:
-            d = _top(s, fs)
+            d, xi_free, cn = _top(num, fs)
             if d == w_stop:
                 if not level:
                     raise InvariantViolationError(
@@ -300,35 +313,45 @@ def _absorb(g: GenericDPS, subs, width: int):
                     degree=d,
                     stopping=w_stop,
                     previous=last_deg,
-                    series=repr(s),
+                    series=repr(_canonical(XI, dict(num), den)),
+                )
+            if not xi_free:
+                raise InvariantViolationError(
+                    "xi-dependent coefficient above the stopping exponent",
+                    coefficient=repr(_canonical(XI, dict(num), den).leading()),
+                    k=k,
+                    degree=d,
+                    stopping=w_stop,
                 )
             last_deg = d
-            cn, cd = _xi_free_lead(
-                s, "xi-dependent coefficient above the stopping exponent",
-                k=k, degree=d, stopping=w_stop,
-            )
             a0, betas = _decompose_weight(d, omegas[: k + 1], ps[:k])
             key = (a0, *betas)
-            # x^a0 * f_1^b_1 ... f_k^b_k substituted, then scaled to cancel the top term
-            correction, fc = Poly.monomial(XI, (a0 * omegas[0], 0)), -inf
-            for j, b in enumerate(betas, start=1):
-                if b:
-                    correction, fc = _times(correction, fc, *power(j, b), width)
-            ln, ld = _xi_free_lead(
-                correction, "xi-dependent leading coefficient in a correction factor",
-                k=k, key=key,
-            )
-            # the coefficient (cn/cd) / (ln/ld), in lowest terms over a positive denominator
-            n, m = cn * ld, cd * ln
+            # f_1^b_1 ... f_k^b_k substituted; x^a0 shifts it by a0*omega_0
+            factors = [power(j, b) for j, b in enumerate(betas, start=1) if b]
+            correction, fc = factors[0] if factors else (_ONE, -inf)
+            for factor in factors[1:]:
+                correction, fc = _times(correction, fc, *factor, width)
+            _, xi_free, ln = _top(correction._num, fc)
+            if not xi_free:
+                raise InvariantViolationError(
+                    "xi-dependent leading coefficient in a correction factor",
+                    coefficient=repr(correction.leading()),
+                    k=k,
+                    key=key,
+                )
+            # the coefficient (cn/den) / (ln/correction.den), in lowest terms
+            # over a positive denominator, cancels the top term
+            n, m = cn * correction.den, den * ln
             if m < 0:
                 n, m = -n, -m
             h = gcd(n, m)
             n, m = n // h, m // h
             level.append((key, (n, m)))
-            s = s - correction._scaled(n, m)
-            fs = max(fs, fc)
+            shift = a0 * omegas[0]
+            den = _subtract_into(num, den, correction, n, m, _x_offset(shift, XI))
+            fs = max(fs, fc + shift)
         steps.append(level)
-        subs.append(s)
+        subs.append(_canonical(XI, num, den))
         floors.append(fs)
         omegas.append(w_stop)
     return omegas, steps
@@ -336,17 +359,6 @@ def _absorb(g: GenericDPS, subs, width: int):
 
 def _lift_names(k: int) -> tuple[str, ...]:
     return ("x",) + tuple(f"y{j}" for j in range(1, k + 1))
-
-
-def _xi_free_lead(s: Poly, message: str, **state) -> tuple[int, int]:
-    """Coefficient of the top power of x in a series keyed (x, xi), which
-    must not involve xi, as a (numerator, denominator > 0) pair in lowest
-    terms."""
-    lead = s.leading()
-    if lead.deg(1) != 0:
-        raise InvariantViolationError(message, coefficient=repr(lead), **state)
-    (c,) = lead._num.values()
-    return c, lead.den
 
 
 def _stopping_exponent(s: Poly, floor, k: int, l: int, cum) -> int:

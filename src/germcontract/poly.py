@@ -306,6 +306,47 @@ def _unpack(k: int, n: int) -> tuple[int, ...]:
     return (k, *reversed(later))
 
 
+def _x_offset(e: int, names: tuple) -> int:
+    """The key of x^e over names: adding it to a key multiplies the term by
+    x^e."""
+    return e << _W * (len(names) - 1)
+
+
+def _top_term(num: dict, names: tuple) -> tuple[int, bool, int]:
+    """Of the largest key of the numerators num over names: its first
+    exponent, whether it has no later variable, and its numerator.  With
+    later exponents as the lowest fields, the term has no later variable
+    exactly when it is the only term of that first exponent."""
+    if not num:
+        raise PreconditionError("top term of the zero polynomial is undefined")
+    k = max(num)
+    shift = _W * (len(names) - 1)
+    return k >> shift, not k & (1 << shift) - 1, num[k]
+
+
+def _subtract_into(num: dict, den: int, q: Poly, n: int, m: int, offset: int) -> int:
+    """num / den - (n / m) * q * x^e in place, for the key offset of x^e
+    (see _x_offset), ints n and m > 0 and nonzero numerators num over the
+    same variables as q; returns the new denominator, the lcm of den and
+    m * q.den.  No gcd is taken: _canonical reduces the result once."""
+    dq = m * q.den
+    d = lcm(den, dq)
+    if d != den:
+        g = d // den
+        for k in num:
+            num[k] *= g
+    c = n * (d // dq)
+    get = num.get
+    for k, v in q._num.items():
+        k += offset
+        v = get(k, 0) - c * v
+        if v:
+            num[k] = v
+        else:
+            del num[k]
+    return d
+
+
 def _key_floor(floor, shift: int):
     """The smallest key whose first exponent, the bits from shift up, is at
     least floor (-inf stays)."""

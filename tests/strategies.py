@@ -4,11 +4,13 @@ By default a germ has at most two pairs and the product of its pair
 denominators is at most 12, so that an example runs the full key-form engine
 in a few milliseconds; the point of the property suites is breadth, not
 stress.  The key-form suites ask for up to three pairs and polydromy up to 24
-(max_pairs, max_polydromy).
+(max_pairs, max_polydromy).  seeded_curve makes the same draws from a seeded
+random.Random, for tests that pin a digest over fixed germs.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -29,6 +31,51 @@ COEFFS = tuple(
 )
 
 
+def _hypothesis_draws(draw):
+    """The two draws the germ builders make, taken from hypothesis."""
+    return (
+        lambda seq: draw(st.sampled_from(seq)),
+        lambda lo, hi: draw(st.integers(lo, hi)),
+    )
+
+
+def _pair_data(pick, between, max_pairs, tangent, max_polydromy) -> CharacteristicData:
+    """The pairs of local_pair_data, drawn with pick(sequence) and
+    between(lo, hi) (both ends included)."""
+    p1 = pick((2, 3, 4, 5, 6, 7))
+    if tangent is True:
+        qs = [q for q in range(1, p1) if gcd(q, p1) == 1]
+    elif tangent is False:
+        qs = [q for q in range(p1 + 1, 3 * p1) if gcd(q, p1) == 1]
+    else:
+        qs = [q for q in range(1, 3 * p1) if gcd(q, p1) == 1 and q != p1]
+    pairs = [(pick(qs), p1)]
+    for _ in range(between(0, max_pairs - 1)):
+        cum = 1
+        for _, p in pairs:
+            cum *= p
+        p_choices = [p for p in (2, 3) if cum * p <= max_polydromy]
+        if not p_choices:
+            break
+        p_k = pick(p_choices)
+        lo = pairs[-1][0] * p_k  # exponents must keep increasing
+        q_choices = [
+            q for q in range(lo + 1, lo + 2 * p_k * cum + 1) if gcd(q, p_k) == 1
+        ]
+        pairs.append((pick(q_choices), p_k))
+    return CharacteristicData.from_pairs(pairs)
+
+
+def _curve(pick, between, data: CharacteristicData, extra_terms: int) -> PuiseuxPoly:
+    """The series of local_curves on the given pairs, drawn as in _pair_data."""
+    terms = {e: pick(COEFFS) for e in data.char_exponents()}
+    for _ in range(between(0, extra_terms)):
+        e = Fraction(between(1, 4))
+        if e not in terms:
+            terms[e] = pick(COEFFS)
+    return PuiseuxPoly(Orientation.LOCAL, terms)
+
+
 @st.composite
 def local_pair_data(
     draw, max_pairs: int = 2, tangent: bool | None = None, max_polydromy: int = 12
@@ -40,28 +87,7 @@ def local_pair_data(
     tangent=True forces q_1 < p_1 (germ order < 1), tangent=False forces
     q_1 > p_1, None leaves both in play.
     """
-    p1 = draw(st.sampled_from((2, 3, 4, 5, 6, 7)))
-    if tangent is True:
-        qs = [q for q in range(1, p1) if gcd(q, p1) == 1]
-    elif tangent is False:
-        qs = [q for q in range(p1 + 1, 3 * p1) if gcd(q, p1) == 1]
-    else:
-        qs = [q for q in range(1, 3 * p1) if gcd(q, p1) == 1 and q != p1]
-    pairs = [(draw(st.sampled_from(qs)), p1)]
-    for _ in range(draw(st.integers(0, max_pairs - 1))):
-        cum = 1
-        for _, p in pairs:
-            cum *= p
-        p_choices = [p for p in (2, 3) if cum * p <= max_polydromy]
-        if not p_choices:
-            break
-        p_k = draw(st.sampled_from(p_choices))
-        lo = pairs[-1][0] * p_k  # exponents must keep increasing
-        q_choices = [
-            q for q in range(lo + 1, lo + 2 * p_k * cum + 1) if gcd(q, p_k) == 1
-        ]
-        pairs.append((draw(st.sampled_from(q_choices)), p_k))
-    return CharacteristicData.from_pairs(pairs)
+    return _pair_data(*_hypothesis_draws(draw), max_pairs, tangent, max_polydromy)
 
 
 @st.composite
@@ -82,12 +108,15 @@ def local_curves(
     """
     if data is None:
         data = draw(local_pair_data(max_pairs, tangent, max_polydromy))
-    terms = {e: draw(st.sampled_from(COEFFS)) for e in data.char_exponents()}
-    for _ in range(draw(st.integers(0, extra_terms))):
-        e = Fraction(draw(st.integers(1, 4)))
-        if e not in terms:
-            terms[e] = draw(st.sampled_from(COEFFS))
-    return PuiseuxPoly(Orientation.LOCAL, terms)
+    return _curve(*_hypothesis_draws(draw), data, extra_terms)
+
+
+def seeded_curve(seed: int, max_pairs: int = 3, max_polydromy: int = 24) -> PuiseuxPoly:
+    """The local_curves draw made by random.Random(seed) in place of
+    hypothesis: the same germ on every run and every platform."""
+    rng = random.Random(seed)
+    data = _pair_data(rng.choice, rng.randint, max_pairs, None, max_polydromy)
+    return _curve(rng.choice, rng.randint, data, 2)
 
 
 @st.composite

@@ -161,6 +161,8 @@ def test_negative_definite_basics():
     assert not is_negative_definite([[0]])
     assert is_negative_definite([[-2, 1], [1, -2]])
     assert not is_negative_definite([[-1, 1], [1, -1]])  # singular
+    zero = (0, 0.0, Fraction(0))
+    assert all(is_negative_definite([[-2, z], [z, -2]]) for z in zero)
     with pytest.raises(
         PreconditionError, match=r"the matrix must be square: row 1 has 1 entries, not 2"
     ):
@@ -188,6 +190,12 @@ def test_negative_definite_basics():
         ([["a"]], "(0, 0)", "'a'"),
         # nan != nan, yet the pair is a bad entry, not an asymmetric one
         ([[-2, nan], [nan, -2]], "(0, 1)", "nan"),
+        # falsy entries that are not zeros, which an off-diagonal scan
+        # that skips falsy entries would read as 0
+        ([[-2, None], [None, -2]], "(0, 1)", "None"),
+        ([[-2, ""], ["", -2]], "(0, 1)", "''"),
+        ([[-2, None], [0, -2]], "(0, 1)", "None"),
+        ([[-2, 0], [[], -2]], "(1, 0)", "[]"),
     ):
         message = f"entry {where} of the matrix is {what}, not a finite rational number"
         with pytest.raises(PreconditionError, match=re.escape(message)):

@@ -3,6 +3,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
+from oracles import semigroup_member_bruteforce
+
 import germcontract
 
 PACKAGE = Path(germcontract.__file__).resolve().parent
@@ -17,3 +21,9 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_oracle_asserts_run_under_python_O():
+    # tests/conftest.py has pytest rewrite the asserts of the oracles module
+    with pytest.raises(AssertionError):
+        semigroup_member_bruteforce(3, [0, 2])

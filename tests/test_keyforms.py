@@ -1,6 +1,7 @@
 """The key-form engine: worked chains, lifts, pole orders, decompositions,
 and the windowed products it raises its powers with."""
 
+import hashlib
 from fractions import Fraction
 from math import gcd, inf, prod
 
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import decompose_bruteforce, evaluate_oracle, product_oracle
-from strategies import COEFFS
+from strategies import COEFFS, seeded_curve
 
 from germcontract import keyforms
 from germcontract import (
     GenericDPS,
+    InvariantViolationError,
     Poly,
     PreconditionError,
     PuiseuxPoly,
@@ -32,6 +34,7 @@ from germcontract import (
     substitute,
     virtual_poles,
 )
+from germcontract.semidegree import XI
 
 F = Fraction
 XY = ("x", "y")
@@ -475,6 +478,23 @@ def test_window_power_is_exact_above_its_floor(a, n, width):
     assert _above(got, floor) == _above(true, floor)
 
 
+def test_an_xi_dependent_top_term_is_an_invariant_violation(worked):
+    """xi on the top term of f_1 substituted puts xi into the top term of
+    its raised power, which the first step reads."""
+    g, keys = worked
+    subs = (substitute(keys.forms[0], g), substitute(keys.forms[1], g))
+    top = subs[1].deg()
+    subs = (subs[0], subs[1] + Poly(XI, {(top, 1): 1}))
+    with pytest.raises(InvariantViolationError) as err:
+        keyforms._absorb(g, subs, 1 << 12)
+    assert str(err.value).startswith("xi-dependent coefficient above the stopping exponent [")
+    state = err.value.state
+    assert set(state) == {"coefficient", "k", "degree", "stopping"}
+    p = g.formal_pairs[0][1]
+    assert state["k"] == 1 and state["degree"] == p * top > state["stopping"]
+    assert state["coefficient"] == repr(subs[1].leading() ** p)
+
+
 def _needs_width(series: str, r: int) -> int:
     """The narrowest doubling of the first window the absorption runs in."""
     g = generic_dps_from_curve(local_to_degreewise(parse_puiseux(series)), r)
@@ -538,3 +558,28 @@ def test_multi_pair_anchors(series, omegas):
     if omegas is not None:
         assert rep.key_forms.omegas == omegas
     assert rep.algebraic is True
+
+
+def _engine_text(keys) -> str:
+    lines = [f.format() for f in keys.forms + keys.lifts]
+    return "\n".join([*lines, repr(keys.omegas), ""])
+
+
+# SHA-256 of the forms, lifts and poles below, recorded from the step loop
+# that subtracted each correction as a new Poly
+ENGINE_PIN = "7bc32073929bff6ef125b1920882421b2ac8c453474a7c5f5fa5606f1f5cc191"
+
+
+def test_forms_lifts_and_poles_of_seeded_germs_are_pinned():
+    """Seeded germs of up to three pairs and polydromy up to 24, at several
+    r including 0 (most of them widen the window at least once), and both
+    restart anchors."""
+    h = hashlib.sha256()
+    for seed in range(100):
+        curve = local_to_degreewise(seeded_curve(seed))
+        for r in (0, 1, 3, 8, 21):
+            h.update(_engine_text(essential_key_forms(generic_dps_from_curve(curve, r))).encode())
+    for series, r, *_ in RESTART_ANCHORS:
+        g = generic_dps_from_curve(local_to_degreewise(parse_puiseux(series)), r)
+        h.update(_engine_text(essential_key_forms(g)).encode())
+    assert h.hexdigest() == ENGINE_PIN
