@@ -24,6 +24,10 @@ den and every numerator.  Every operation runs on these ints and divides
 its result by their gcd once (_canonical); products of terms are summed in
 one kernel (_combine), which mul, power and evaluate share.  A Fraction is
 built only when terms or coeff is read.
+
+The key-form engine changes a series in place through three primitives
+here (_x_offset, _top_term, _subtract_into), so that no other module
+knows the key layout.
 """
 
 from __future__ import annotations
@@ -314,9 +318,9 @@ def _x_offset(e: int, names: tuple) -> int:
 
 def _top_term(num: dict, names: tuple) -> tuple[int, bool, int]:
     """Of the largest key of the numerators num over names: its first
-    exponent, whether it has no later variable, and its numerator.  With
-    later exponents as the lowest fields, the term has no later variable
-    exactly when it is the only term of that first exponent."""
+    exponent, whether every later exponent in it is 0, and its numerator.
+    Later exponents fill the lowest fields, so they are all 0 exactly when
+    the term is the only one of its first exponent."""
     if not num:
         raise PreconditionError("top term of the zero polynomial is undefined")
     k = max(num)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import decompose_bruteforce, evaluate_oracle, product_oracle
 from strategies import COEFFS, seeded_curve
 
-from germcontract import keyforms
+from germcontract import keyforms, poly
 from germcontract import (
     GenericDPS,
     InvariantViolationError,
@@ -34,7 +34,6 @@ from germcontract import (
     substitute,
     virtual_poles,
 )
-from germcontract.semidegree import XI
 
 F = Fraction
 XY = ("x", "y")
@@ -493,6 +492,28 @@ def test_an_xi_dependent_top_term_is_an_invariant_violation(worked):
     p = g.formal_pairs[0][1]
     assert state["k"] == 1 and state["degree"] == p * top > state["stopping"]
     assert state["coefficient"] == repr(subs[1].leading() ** p)
+
+
+@WINDOW
+@given(
+    s=xi_series(), q=xi_series(), c=st.sampled_from(COEFFS), e=st.integers(-20, 20)
+)
+def test_in_place_subtraction_and_top_read_match_the_oracle(s, q, c, e):
+    """The in-place step of the absorption against Poly arithmetic on the
+    tuple-keyed terms: s - c * x^e * q, and the top term it reads."""
+    num = dict(s._num)
+    den = poly._subtract_into(num, s.den, q, c.numerator, c.denominator, poly._x_offset(e, XI))
+    shifted = {(a + e, b): v for (a, b), v in q.terms.items()}
+    want = s - Poly(XI, shifted).scale(c)
+    assert poly._canonical(XI, num, den) == want
+    if want.is_zero():
+        return
+    d, xi_free, n = poly._top_term(num, XI)
+    lead = want.leading()
+    assert d == want.deg()
+    assert xi_free == (lead.deg(1) == 0)
+    top = max(k for k in want.terms if k[0] == d)
+    assert F(n, den) == want.terms[top]
 
 
 def _needs_width(series: str, r: int) -> int:
