@@ -91,11 +91,16 @@ def load_spec_file(path: str) -> dict:
                 f"{path}:{lineno}: expected 'key = value' with key one of "
                 f"{', '.join(_SPEC_KEYS)}"
             )
-        try:
-            spec[key] = ast.literal_eval(value.strip())
-        except (ValueError, TypeError, SyntaxError) as exc:
-            raise _BadInput(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        spec[key] = _literal(value.strip(), f"{path}:{lineno}: bad value for {key}")
     return spec
+
+
+def _literal(text: str, what: str):
+    """ast.literal_eval(text); too deep a nesting is bad input as well."""
+    try:
+        return ast.literal_eval(text)
+    except (ValueError, TypeError, SyntaxError, RecursionError, MemoryError) as exc:
+        raise _BadInput(f"{what}: {str(exc) or 'nested too deeply'}") from exc
 
 
 def _read_inputs(args) -> dict:
@@ -118,10 +123,7 @@ def _checked(rule, value):
 
 def _parse_pairs_value(value) -> CharacteristicData:
     if isinstance(value, str):
-        try:
-            value = ast.literal_eval(value)
-        except (ValueError, TypeError, SyntaxError) as exc:
-            raise _BadInput(f"bad pairs value: {exc}") from exc
+        value = _literal(value, "bad pairs value")
     if (
         isinstance(value, tuple)
         and len(value) == 2

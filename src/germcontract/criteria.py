@@ -135,11 +135,14 @@ def virtual_poles(local_pairs, r: int) -> VirtualPoles:
 
 
 def semigroup_membership(n: int, gens) -> bool:
-    """Is n a non-negative integer combination of gens (all positive)?"""
-    gens = tuple(int(g) for g in gens)
+    """Is the int n a non-negative integer combination of gens (positive
+    ints)?  A bool, float or other type is refused, never read as an int."""
+    if type(n) is not int:
+        raise PreconditionError(f"n = {n!r} must be an int")
+    gens = tuple(gens)
     for g in gens:
-        if g <= 0:
-            raise PreconditionError(f"generator {g} must be positive")
+        if type(g) is not int or g <= 0:
+            raise PreconditionError(f"generator {g!r} must be a positive int")
     if n < 0:
         return False
     mask = (1 << (n + 1)) - 1

@@ -289,11 +289,32 @@ def _json_list(items: list[str]) -> str:
 
 
 def parse_graph_json(text: str) -> DualGraph:
-    """Inverse of export_graph(..., 'json')."""
-    doc = json.loads(text)
-    vertices = tuple(
-        DGVertex(v["label"], int(v["weight"]), bool(v["is_Ltilde"]))
-        for v in doc["vertices"]
+    """Inverse of export_graph(..., 'json').  Text that export_graph could
+    not have written raises PreconditionError: text that is not JSON, a key
+    missing or extra, a value of another JSON type, or an edge that is not
+    a pair i < j of vertex indices."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise PreconditionError(f"graph JSON does not parse: {exc}") from None
+    if _types(doc) != {"edges": list, "estar_attachment": list, "vertices": list}:
+        raise PreconditionError("a graph is the lists edges, estar_attachment and vertices")
+    n = len(doc["vertices"])
+    for v in doc["vertices"]:
+        if _types(v) != {"is_Ltilde": bool, "label": str, "weight": int}:
+            raise PreconditionError(f"vertex {v!r} needs is_Ltilde: bool, label: str, weight: int")
+    for e in doc["edges"]:
+        if type(e) is not list or list(map(type, e)) != [int, int] or not 0 <= e[0] < e[1] < n:
+            raise PreconditionError(f"edge {e!r} is not a pair i < j of vertex indices")
+    if any(type(label) is not str for label in doc["estar_attachment"]):
+        raise PreconditionError("estar_attachment is not a list of labels")
+    return DualGraph(
+        tuple(DGVertex(v["label"], v["weight"], v["is_Ltilde"]) for v in doc["vertices"]),
+        tuple(sorted(map(tuple, doc["edges"]))),
+        tuple(doc["estar_attachment"]),
     )
-    edges = tuple(sorted((int(i), int(j)) for i, j in doc["edges"]))
-    return DualGraph(vertices, edges, tuple(doc["estar_attachment"]))
+
+
+def _types(value) -> dict | None:
+    """The type of each entry of a JSON object (None for any other value)."""
+    return {k: type(v) for k, v in value.items()} if type(value) is dict else None

@@ -21,15 +21,18 @@ terms at or above semidegree f are exact, the ones below it may be missing
 or wrong.  x and f_1 substituted are exact (f = -inf).  A product A*B is
 exact at or above max(f_A + deg B, f_B + deg A); it is formed only at or
 above that bound and deg A + deg B - W, for a window width W, and the larger
-of the two is its floor.  Powers follow the same rule (Poly.power squares
-within it), and a product of exact factors that the window cuts nothing from
-stays exact.  A difference takes the larger floor.  When the stopping
-exponent has no candidate at or above the floor, or a degree or leading
-coefficient the absorption reads lies below it, the run is abandoned and
-redone from level 1 with W doubled; W starts at 16.  Once W spans every
-product nothing is cut, so the engine then is the exact one and the reruns
-end.  W comes from the series alone and never from the closed-form poles, so
-the omegas stay an independent check of virtual_poles.
+of the two is its floor; a product of exact factors that the window cuts
+nothing from stays exact.  That is the one window rule (_times).  A power
+S^b is the windowed product of S^(b//2) and S^(b - b//2), so for S of
+degree d and floor f its floor is max((b-1)*d + f, b*d - W); Poly.power
+takes no floor, and the engine never calls it.  A difference takes the
+larger floor.  When the stopping exponent has no candidate at or above the
+floor, or a degree or leading coefficient the absorption reads lies below
+it, the run is abandoned and redone from level 1 with W doubled; W starts
+at 16.  Once W spans every product nothing is cut, so the engine then is
+the exact one and the reruns end.  W comes from the series alone and never
+from the closed-form poles, so the omegas stay an independent check of
+virtual_poles.
 
 A level keeps its raised power as integer numerators over one denominator
 and changes them in place.  Each step reads the top term once, for its
@@ -111,8 +114,9 @@ def is_polynomial(f: Poly) -> bool:
 
 def _decompose_weight(target: int, omegas, ps) -> tuple[int, tuple[int, ...]]:
     """Unique (a, (b_1..b_k)) with a*omega_0 + sum b_j omega_j = target,
-    0 <= b_j < p_j.  Existence needs gcd(omega_0..omega_{j-1}) | things, which
-    holds exactly on the lattice targets the absorption loop produces."""
+    0 <= b_j < p_j.  Each b_j is the one residue that leaves the rest of the
+    target divisible by gcd(omega_0..omega_{j-1}); it exists and is unique
+    exactly on the lattice targets the absorption loop produces."""
     k = len(omegas) - 1
     if len(ps) != k:
         raise InvariantViolationError(
@@ -241,29 +245,17 @@ def _top(num: dict, floor) -> tuple[int, bool, int]:
     return top
 
 
-def _window_floor(from_factors, top, low, width):
-    """Floor of a product of first degree top whose terms cannot go below
-    low.  The floors of the factors give from_factors; the window keeps
-    width below top.  A product of exact factors that the window cuts
-    nothing from stays exact."""
-    floor = max(from_factors, top - width)
-    if from_factors == -inf and floor <= low:
-        return -inf
-    return floor
-
-
 def _times(a: Poly, fa, b: Poly, fb, width: int) -> tuple[Poly, float | int]:
-    """a*b with its floor, where a and b are exact at or above fa and fb."""
+    """a*b with its floor, where a and b are exact at or above fa and fb.
+    The product is exact at or above max(fa + deg b, fb + deg a), and the
+    window keeps width below deg a + deg b.  A product of exact factors
+    that the window cuts nothing from stays exact."""
     da, db = _top(a._num, fa)[0], _top(b._num, fb)[0]
-    floor = _window_floor(max(fa + db, fb + da), da + db, a.ord() + b.ord(), width)
+    from_factors = max(fa + db, fb + da)
+    floor = max(from_factors, da + db - width)
+    if from_factors == -inf and floor <= a.ord() + b.ord():
+        floor = -inf
     return a.mul(b, floor), floor
-
-
-def _power(s: Poly, f, b: int, width: int) -> tuple[Poly, float | int]:
-    """s**b with its floor, where s is exact at or above f."""
-    d = _top(s._num, f)[0]
-    floor = _window_floor((b - 1) * d + f, b * d, b * s.ord(), width)
-    return s.power(b, floor), floor
 
 
 def _absorb(g: GenericDPS, subs, width: int):
@@ -278,14 +270,13 @@ def _absorb(g: GenericDPS, subs, width: int):
     ps = [p for _, p in pairs]
     cum = g.cumulative_p()
     l = g.l
-    subs = list(subs)
-    floors = [-inf, -inf]
     omegas: list[int] = [subs[0].deg(), subs[1].deg()]
-    powers: dict[tuple[int, int], tuple[Poly, float | int]] = {}
+    # f_j**b substituted, with its floor, by (j, b); (j, 1) is f_j itself
+    powers: dict[tuple[int, int], tuple[Poly, float | int]] = {(1, 1): (subs[1], -inf)}
 
     def power(j: int, b: int):
         if (j, b) not in powers:
-            powers[(j, b)] = _power(subs[j], floors[j], b, width)
+            powers[(j, b)] = _times(*power(j, b // 2), *power(j, b - b // 2), width)
         return powers[(j, b)]
 
     steps: list[list[tuple[tuple[int, ...], tuple[int, int]]]] = []
@@ -351,8 +342,7 @@ def _absorb(g: GenericDPS, subs, width: int):
             den = _subtract_into(num, den, correction, n, m, _x_offset(shift, XI))
             fs = max(fs, fc + shift)
         steps.append(level)
-        subs.append(_canonical(XI, num, den))
-        floors.append(fs)
+        powers[(k + 1, 1)] = _canonical(XI, num, den), fs
         omegas.append(w_stop)
     return omegas, steps
 

@@ -22,12 +22,14 @@ Coefficients are stored as FLINT's fmpq_poly stores them: nonzero integer
 numerators over one common denominator den > 0, with no factor common to
 den and every numerator.  Every operation runs on these ints and divides
 its result by their gcd once (_canonical); products of terms are summed in
-one kernel (_combine), which mul, power and evaluate share.  A Fraction is
+one kernel (_combine), which mul and evaluate share.  A Fraction is
 built only when terms or coeff is read.
 
-The key-form engine changes a series in place through three primitives
-here (_x_offset, _top_term, _subtract_into), so that no other module
-knows the key layout.
+Only mul takes a floor, below which it forms no term; power multiplies in
+full.  The key-form engine builds its cut powers as products (see
+keyforms), so its window rule lives there alone.  It changes a series in
+place through three primitives here (_x_offset, _top_term,
+_subtract_into), so that no other module knows the key layout.
 """
 
 from __future__ import annotations
@@ -176,36 +178,17 @@ class Poly:
         rows = ((k, n, rhs) for k, n in self._num.items())
         return _combine(self.names, rows, self.den * other.den, floor)
 
-    def __pow__(self, n: int) -> "Poly":
-        return self.power(n)
-
-    def power(self, n: int, floor=-inf) -> "Poly":
-        """The terms of self**n whose first exponent is at least floor, by
-        squaring.  A partial power self**m keeps only the terms that can
-        still reach floor through the n - m factors left, each of first
-        degree deg()."""
+    def power(self, n: int) -> "Poly":
+        """self**n by squaring."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if n == 0:
-            result = Poly._make(self.names, {0: 1}, 1)
-        elif self.is_zero():
-            result = self
-        else:
-            d = self.deg()
-            result, have = None, 0  # result = self**have
-            base, step = self, 1  # base = self**step
-            rest = n
-            while rest:
-                if rest & 1:
-                    have += step
-                    result = base if result is None else result.mul(base, floor - (n - have) * d)
-                rest >>= 1
-                if rest:
-                    step *= 2
-                    base = base.mul(base, floor - (n - step) * d)
-        low = _key_floor(floor, _W * (len(self.names) - 1))
-        kept = {k: v for k, v in result._num.items() if k >= low}
-        return result if len(kept) == len(result._num) else _canonical(self.names, kept, result.den)
+        if n < 2:
+            return self if n else Poly._make(self.names, {0: 1}, 1)
+        half = self.power(n // 2)
+        square = half.mul(half)
+        return square.mul(self) if n & 1 else square
+
+    __pow__ = power
 
     def evaluate(self, images) -> "Poly":
         """self(images[0], images[1], ..., images[n-1]) in the ring of the
@@ -351,12 +334,6 @@ def _subtract_into(num: dict, den: int, q: Poly, n: int, m: int, offset: int) ->
     return d
 
 
-def _key_floor(floor, shift: int):
-    """The smallest key whose first exponent, the bits from shift up, is at
-    least floor (-inf stays)."""
-    return floor if floor == -inf else ceil(floor) << shift
-
-
 def _canonical(names: tuple, num: dict, den: int) -> Poly:
     """The Poly num / den (no zero numerators, den > 0) divided by the gcd
     of den and every numerator."""
@@ -383,7 +360,8 @@ def _combine(names: tuple, rows, d: int, floor=-inf) -> Poly:
     reaches 2^15 is refused here, before a further product could carry it
     into the field above."""
     shift = _W * (len(names) - 1)
-    floor = _key_floor(floor, shift)
+    if floor > -inf:  # the smallest key of first exponent at least floor
+        floor = ceil(floor) << shift
     out: dict[int, int] = {}
     get = out.get
     for s, n, q in rows:

@@ -327,8 +327,9 @@ def evaluate_oracle(f: dict, images: list[dict]) -> dict:
 class poly_oracle:
     """Poly's operations on a plain dict terms from exponent tuples over
     names to nonzero Fractions.  Products and substitutions go through
-    product_oracle and evaluate_oracle; a floor keeps the terms whose first
-    exponent is at least floor, after the whole product is formed."""
+    product_oracle and evaluate_oracle; the floor of mul keeps the terms
+    whose first exponent is at least floor, after the whole product is
+    formed."""
 
     def __init__(self, names, terms):
         self.names = tuple(names)
@@ -352,11 +353,11 @@ class poly_oracle:
     def mul(self, other: "poly_oracle", floor=float("-inf")) -> "poly_oracle":
         return self._new(product_oracle(self.terms, other.terms)).above(floor)
 
-    def power(self, n: int, floor=float("-inf")) -> "poly_oracle":
+    def power(self, n: int) -> "poly_oracle":
         out = {(0,) * len(self.names): Fraction(1)}
         for _ in range(n):
             out = product_oracle(out, self.terms)
-        return self._new(out).above(floor)
+        return self._new(out)
 
     def evaluate(self, images) -> "poly_oracle":
         return poly_oracle(images[0].names, evaluate_oracle(self.terms, [i.terms for i in images]))

@@ -252,10 +252,17 @@ PARSE_FAILS = [
     # '²'.isdigit() holds, but int('²') raises
     ["analyze", "--series", "u^²", "--r", "1"],
     ["analyze", "--series", "u^(1/²)", "--r", "1"],
+    # nesting too deep for ast.literal_eval: RecursionError, then MemoryError
+    ["classify", "--pairs=" + "-" * 3000 + "1", "--r", "1"],
+    ["classify", "--pairs=" + "-" * 50000 + "1", "--r", "1"],
 ]
 
 
-@pytest.mark.parametrize("argv", PARSE_FAILS, ids=[" ".join(a) for a in PARSE_FAILS])
+def _argv_id(argv) -> str:
+    return " ".join(a if len(a) <= 60 else f"{a[:3]}...({len(a)} chars)" for a in argv)
+
+
+@pytest.mark.parametrize("argv", PARSE_FAILS, ids=[_argv_id(a) for a in PARSE_FAILS])
 def test_unusable_input_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -290,6 +297,8 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys):
         ("singlepair", 'poly = 5\np = 5\nq = 3\nr = 9\n'),
         ("singlepair", 'poly = "v^5 - u^3"\np = 5\nq = 3\nr = 1.5\n'),
         ("classify", 'pairs = [(3,5)]\nr = True\n'),
+        ("classify", f"pairs = {'-' * 3000}1\nr = 1\n"),
+        ("classify", f"pairs = {'-' * 50000}1\nr = 1\n"),
     ]:
         bad.write_text(text)
         assert run([command, str(bad)]) == 2

@@ -212,6 +212,10 @@ def test_membership_rejects_non_positive_generators():
         semigroup_membership(5, (5, 0))
     with pytest.raises(PreconditionError):
         semigroup_membership(5, (5, -2))
+    # ints only: 2.5 was read as 2, True as 1, and a float n raised TypeError
+    for n, gens in [(4, (2.5,)), (4, (True,)), (True, (1,)), (2.5, (1,)), (4, ("2",))]:
+        with pytest.raises(PreconditionError):
+            semigroup_membership(n, gens)
 
 
 # --- the classification ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Weighted dual graphs: construction, Grauert check, exports."""
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -351,6 +352,42 @@ def test_json_export_of_hand_made_graphs(g):
     assert text == graph_json_oracle(g)
     assert text.isascii()
     assert parse_graph_json(text) == g
+
+
+V = {"is_Ltilde": False, "label": "E1", "weight": -2}
+
+
+def _graph_doc(vertices=(), edges=(), attachment=(), **extra) -> str:
+    return json.dumps(
+        {"edges": edges, "estar_attachment": attachment, "vertices": vertices, **extra}
+    )
+
+
+MALFORMED_GRAPHS = {
+    "empty-object": "{}",
+    "list": "[]",
+    "not-json": "not json",
+    "nested-too-deep": "[" * 100000,
+    "vertices-not-a-list": _graph_doc(vertices={}),
+    "extra-key": _graph_doc(extra=[]),
+    "vertex-not-an-object": _graph_doc([[]]),
+    "vertex-key-missing": _graph_doc([{"label": "E1", "weight": -2}]),
+    "float-weight": _graph_doc([{**V, "weight": 2.7}]),
+    "bool-weight": _graph_doc([{**V, "weight": True}]),
+    "string-is-Ltilde": _graph_doc([{**V, "is_Ltilde": "false"}]),
+    "int-label": _graph_doc([{**V, "label": 1}]),
+    "edge-out-of-range": _graph_doc([V], [[0, 1]]),
+    "edge-reversed": _graph_doc([V, V], [[1, 0]]),
+    "float-edge-index": _graph_doc([V, V], [[0, 1.0]]),
+    "one-ended-edge": _graph_doc([V, V], [[0]]),
+    "null-attachment": _graph_doc(attachment=[None]),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_GRAPHS.values(), ids=MALFORMED_GRAPHS.keys())
+def test_parse_graph_json_refuses_what_export_cannot_write(text):
+    with pytest.raises(PreconditionError):
+        parse_graph_json(text)
 
 
 def test_export_rejects_unknown_format():
