@@ -41,6 +41,11 @@ def alpha_invariant(local_pairs, r: int) -> int:
     p*q + r."""
     data = local_pair_data(local_pairs)
     check_r(r)
+    return _alpha(data, r)
+
+
+def _alpha(data: CharacteristicData, r: int) -> int:
+    """alpha_invariant of pairs and r that are already checked."""
     total = 0
     tail = 1  # product of p_j for j > k, built from the right
     for (_, p_k), beta in zip(reversed(data.pairs), reversed(data.betas())):
@@ -57,7 +62,7 @@ def is_contractible(local_pairs, r: int) -> bool:
     check_r(r)
     if not is_tangent(data):
         return False
-    return alpha_invariant(data, r) < data.polydromy**2
+    return _alpha(data, r) < data.polydromy**2
 
 
 def _tilde_omegas(data: CharacteristicData) -> tuple[int, ...]:
@@ -108,7 +113,7 @@ def virtual_poles(local_pairs, r: int) -> VirtualPoles:
     ps = [p for _, p in data.pairs]
     lt = len(ps)
     p = data.polydromy
-    alpha = alpha_invariant(data, r)
+    alpha = _alpha(data, r)
     tilde = _tilde_omegas(data)
     if alpha != ps[-1] * tilde[-1] + r:
         raise InvariantViolationError(
@@ -198,7 +203,7 @@ def semigroup_conditions(local_pairs, r: int) -> SemigroupReport:
     """
     data = local_pair_data(local_pairs)
     vp = virtual_poles(data, r)
-    if not is_contractible(data, r):
+    if not (is_tangent(data) and vp.alpha < vp.p**2):
         return SemigroupReport((), (), Classification.NOT_CONTRACTIBLE, vp)
     if vp.generic_pole <= 0:
         raise InvariantViolationError(

@@ -18,7 +18,9 @@ middle coefficients only exists under them.
 The absorption reads only the top of each raised power, so substituted series
 are built only that far down.  Each one carries an exactness floor f: its
 terms at or above semidegree f are exact, the ones below it may be missing
-or wrong.  x and f_1 substituted are exact (f = -inf).  A product A*B is
+or wrong.  x and f_1 substituted are exact (f = -inf) and are read off the
+generic series: x^delta_x, and the series without its integer head.  f_1
+itself is its lift F_1 under the names (x, y).  A product A*B is
 exact at or above max(f_A + deg B, f_B + deg A); it is formed only at or
 above that bound and deg A + deg B - W, for a window width W, and the larger
 of the two is its floor; a product of exact factors that the window cuts
@@ -28,11 +30,13 @@ degree d and floor f its floor is max((b-1)*d + f, b*d - W); Poly.power
 takes no floor, and the engine never calls it.  A difference takes the
 larger floor.  When the stopping exponent has no candidate at or above the
 floor, or a degree or leading coefficient the absorption reads lies below
-it, the run is abandoned and redone from level 1 with W doubled; W starts
-at 16.  Once W spans every product nothing is cut, so the engine then is
-the exact one and the reruns end.  W comes from the series alone and never
-from the closed-form poles, so the omegas stay an independent check of
-virtual_poles.
+it, the run is abandoned and redone from level 1 with W doubled.  W starts
+at the semidegree span deg - ord of the generic series (at least 1), which
+was wide enough for one run on every germ tried; the floors, not this rule,
+keep the result exact.  Once W spans every product nothing is cut, so the
+engine then is the exact one and the reruns end.  W comes from the series
+alone and never from the closed-form poles, so the omegas stay an
+independent check of virtual_poles.
 
 A level keeps its raised power as integer numerators over one denominator
 and changes them in place.  Each step reads the top term once, for its
@@ -52,7 +56,7 @@ from math import gcd, inf, lcm
 
 from .errors import InvariantViolationError, PreconditionError
 from .poly import Poly, _canonical, _pack, _subtract_into, _top_term, _x_offset
-from .semidegree import XI, XY, GenericDPS, substitute
+from .semidegree import XI, XY, GenericDPS
 
 
 @dataclass(frozen=True)
@@ -187,16 +191,24 @@ def essential_key_forms(g: GenericDPS) -> EssentialKeyForms:
     """Run the full construction on a generic degree-wise series."""
     pairs = g.formal_pairs
 
-    x = Poly.monomial(XY, (1, 0))
     head, hd = _integer_head(g)
-    # F_1 is f_1 with y written as y_1 (there is no previous y-form to lift to)
+    # F_1 is f_1 with y written as y_1 (there is no previous y-form to lift
+    # to); both have two variables, so their packed keys are the same
     names = _lift_names(1)
     f1 = {_pack((0, 1), names): hd, **{_pack((e, 0), names): -c for e, c in head}}
     lifts: list[Poly] = [_canonical(names, f1, hd)]
-    forms: list[Poly] = [x, lifts[0].evaluate((x, Poly.monomial(XY, (0, 1))))]
+    forms: list[Poly] = [Poly.monomial(XY, (1, 0)), Poly._make(XY, lifts[0]._num, lifts[0].den)]
 
-    subs = (substitute(x, g), substitute(forms[1], g))
-    width = _FIRST_WIDTH
+    # x substituted is x^delta_x; f_1 substituted is the series without its head
+    xs = g.xiseries()
+    dx = g.delta_x
+    cut = {_x_offset(e * dx, XI) for e, _ in head}
+    subs = (
+        Poly.monomial(XI, (dx, 0)),
+        _canonical(XI, {k: v for k, v in xs._num.items() if k not in cut}, xs.den),
+    )
+    # the span of the generic series, at least 1 so that doubling widens it
+    width = max(1, xs.deg() - xs.ord())
     while True:
         try:
             omegas, steps = _absorb(g, subs, width)
@@ -225,7 +237,6 @@ def essential_key_forms(g: GenericDPS) -> EssentialKeyForms:
     return result
 
 
-_FIRST_WIDTH = 16
 _ONE = Poly.monomial(XI, (0, 0))
 
 

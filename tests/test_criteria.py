@@ -113,6 +113,29 @@ def test_two_pair_case_is_contractible():
     assert is_contractible(TWO_PAIR, 1)  # alpha = 95 < 100
 
 
+def test_semigroup_conditions_short_circuit_exactly_off_is_contractible():
+    """semigroup_conditions reads contractibility off its virtual poles;
+    it must short-circuit on exactly the input is_contractible refuses,
+    non-tangent germs included."""
+    cases = [
+        ([(q, p)], r)
+        for p in range(2, 8)
+        for q in range(1, 2 * p)
+        if gcd(q, p) == 1
+        for r in range(p * p + 1)
+    ]
+    cases += [
+        ([(q1, p1), (q2, 2)], r)
+        for q1, p1 in ((2, 3), (3, 5), (5, 4))
+        for q2 in (2 * q1 + 1, 2 * q1 + 7)
+        for r in range(0, 40, 3)
+    ]
+    for pairs, r in cases:
+        rep = semigroup_conditions(pairs, r)
+        short = rep.classification is Classification.NOT_CONTRACTIBLE
+        assert short == (not is_contractible(pairs, r)), (pairs, r)
+
+
 # --- virtual poles --------------------------------------------------------
 
 

@@ -532,18 +532,22 @@ def test_in_place_subtraction_and_top_read_match_the_oracle(s, q, c, e):
     assert F(n, den) == want.terms[top]
 
 
-def _needs_width(series: str, r: int) -> int:
-    """The narrowest doubling of the first window the absorption runs in."""
-    g = generic_dps_from_curve(local_to_degreewise(parse_puiseux(series)), r)
-    forms = essential_key_forms(g).forms
-    subs = (substitute(forms[0], g), substitute(forms[1], g))
-    width = keyforms._FIRST_WIDTH
-    while True:
-        try:
-            keyforms._absorb(g, subs, width)
-            return width
-        except keyforms._WindowTooSmall:
-            width *= 2
+def _germ(series: str, r: int) -> GenericDPS:
+    return generic_dps_from_curve(local_to_degreewise(parse_puiseux(series)), r)
+
+
+@pytest.fixture
+def absorb_runs(monkeypatch):
+    """The (subs, width) of every _absorb run the engine makes."""
+    runs = []
+    run = keyforms._absorb
+
+    def counted(g, subs, width):
+        runs.append((subs, width))
+        return run(g, subs, width)
+
+    monkeypatch.setattr(keyforms, "_absorb", counted)
+    return runs
 
 
 # Forms and poles recorded from the engine that raised every power in full.
@@ -566,14 +570,60 @@ RESTART_ANCHORS = [
 
 @pytest.mark.parametrize("series,r,width,omegas,forms", RESTART_ANCHORS)
 def test_anchors_that_widen_the_window(series, r, width, omegas, forms):
-    """Both germs overflow the first window, so the engine reruns; the rerun
-    must give the forms of the full-power engine."""
-    assert width > keyforms._FIRST_WIDTH
-    assert _needs_width(series, r) == width
-    g = generic_dps_from_curve(local_to_degreewise(parse_puiseux(series)), r)
+    """The rerun path of the engine, driven by hand: both germs overflow a
+    first window of width 16, so the absorption run from there is abandoned
+    and rerun at double the width until it fits.  The rerun must give the
+    poles and steps of the engine's one run, and the engine the forms of
+    the full-power engine."""
+    g = _germ(series, r)
     keys = essential_key_forms(g)
-    assert keys.omegas == omegas
+    subs = (substitute(keys.forms[0], g), substitute(keys.forms[1], g))
+    got = 16
+    while True:
+        try:
+            rerun = keyforms._absorb(g, subs, got)
+            break
+        except keyforms._WindowTooSmall:
+            got *= 2
+    assert got == width > 16
+    xs = g.xiseries()
+    assert rerun == keyforms._absorb(g, subs, xs.deg() - xs.ord())
+    assert keys.omegas == tuple(rerun[0]) == omegas
     assert tuple(f.format() for f in keys.forms) == forms
+
+
+FOUR_PAIR = "u^(5/7) + u^(11/14) + u^(23/28) + u^(47/56)"
+FIVE_PAIR = FOUR_PAIR + " + u^(95/112)"
+
+
+@pytest.mark.parametrize(
+    "series,r,width",
+    [
+        (RESTART_ANCHORS[0][0], 1, 18),
+        (RESTART_ANCHORS[1][0], 40, 41),
+        (FOUR_PAIR, 3, None),
+        (FOUR_PAIR, 300, None),
+        (FIVE_PAIR, 3, None),
+        (FIVE_PAIR, 50, 65),
+        (FIVE_PAIR, 200, None),
+        ("u^(3/5)", 0, 1),
+        ("u^(1/2)", 0, 1),
+    ],
+)
+def test_the_engine_absorbs_once_from_the_span_of_its_series(absorb_runs, series, r, width):
+    """The first window is the semidegree span of the generic series (at
+    least 1: a lone generic term spans 0, and doubling 0 would never end),
+    and it is wide enough for one run.  x and f_1 substituted are read off
+    the series; they are the substitutions of the first two forms."""
+    g = _germ(series, r)
+    keys = essential_key_forms(g)
+    ((subs, got),) = absorb_runs
+    xs = g.xiseries()
+    assert got == max(1, xs.deg() - xs.ord())
+    if width is not None:
+        assert got == width
+    assert subs == (substitute(keys.forms[0], g), substitute(keys.forms[1], g))
+    assert keys.forms[1] == keys.lifts[0].evaluate((X, Y))
 
 
 MULTI_PAIR = [
@@ -609,8 +659,8 @@ ENGINE_PIN = "7bc32073929bff6ef125b1920882421b2ac8c453474a7c5f5fa5606f1f5cc191"
 
 def test_forms_lifts_and_poles_of_seeded_germs_are_pinned():
     """Seeded germs of up to three pairs and polydromy up to 24, at several
-    r including 0 (most of them widen the window at least once), and both
-    restart anchors."""
+    r including 0 (most of them overflow a first window of width 16), and
+    both restart anchors."""
     h = hashlib.sha256()
     for seed in range(100):
         curve = local_to_degreewise(seeded_curve(seed))
