@@ -110,6 +110,11 @@ def virtual_poles(local_pairs, r: int) -> VirtualPoles:
     """
     data = local_pair_data(local_pairs)
     check_r(r)
+    return _virtual_poles(data, r)
+
+
+def _virtual_poles(data: CharacteristicData, r: int) -> VirtualPoles:
+    """virtual_poles of pairs and r that are already checked."""
     ps = [p for _, p in data.pairs]
     lt = len(ps)
     p = data.polydromy
@@ -202,7 +207,8 @@ def semigroup_conditions(local_pairs, r: int) -> SemigroupReport:
     is algebraic.  Non-contractible input short-circuits.
     """
     data = local_pair_data(local_pairs)
-    vp = virtual_poles(data, r)
+    check_r(r)
+    vp = _virtual_poles(data, r)
     if not (is_tangent(data) and vp.alpha < vp.p**2):
         return SemigroupReport((), (), Classification.NOT_CONTRACTIBLE, vp)
     if vp.generic_pole <= 0:
@@ -224,12 +230,13 @@ def semigroup_conditions(local_pairs, r: int) -> SemigroupReport:
         p_k = data.pairs[k - 1][1]
         target = p_k * vp.omegas[k]
         s1.append(semigroup_membership(target, vp.omegas[:k]))
-        step = gcd(*vp.omegas[: k + 1])
+        gens = vp.omegas[: k + 1]
+        step = gcd(*gens)
         offender = None
         for n in range(ladder[k + 1] + 1, target):
             if n % step:
                 continue
-            if not semigroup_membership(n, vp.omegas[: k + 1]):
+            if not semigroup_membership(n, gens):
                 offender = n
         s2.append(S2Entry(k, offender is None, offender))
     if all(s1):

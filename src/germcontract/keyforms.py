@@ -7,13 +7,20 @@ substituted degree drops to the next pole position.  Substituted series are
 keyed by semidegrees (see semidegree), so every degree read here is already
 an integer pole value.  The corrections are recorded in lifted coordinates
 y_1..y_k (one variable per form), so each step also returns the lift F_{k+1}
-in Q[x, x^-1, y_1..y_k] with f_{k+1} = F_{k+1}(x, f_1, ..., f_k).
+in Q[x, x^-1, y_1..y_k] with f_{k+1} = F_{k+1}(x, f_1, ..., f_k).  The form
+itself comes from the same steps: f_k^p_k in (x, y) minus each step's
+(n/m) * x^a0 * f_1^b_1 ... f_k^b_k, subtracted in place with the primitives
+the absorption uses, from one power table per call (_running_forms).  The
+lift is never evaluated here; Poly.evaluate serves substitute and the tests.
 
 The absorbed semidegrees are multiples of delta_x/(p_1..p_k) while k is not
 final, and carry xi-free coefficients; both facts are enforced at runtime and
 raised as invariant violations with a state dump if they ever fail, since the
 decomposition of the target weight over (omega_0..omega_k) with bounded
-middle coefficients only exists under them.
+middle coefficients only exists under them.  That decomposition is in closed
+form: each b_j is one modular inverse away from the rest of the target, by a
+plan built once per level, which checks the gcd structure of the poles it
+reads (_weight_plan, _decompose).
 
 The absorption reads only the top of each raised power, so substituted series
 are built only that far down.  Each one carries an exactness floor f: its
@@ -43,8 +50,11 @@ and changes them in place.  Each step reads the top term once, for its
 degree, its coefficient and whether it is free of xi, and subtracts the
 scaled correction x^a0 * f_1^b_1 ... f_k^b_k.  The x^a0 factor is a shift of
 every key and of the floor by a0*omega_0, which is the window product with
-that monomial, because a power that is exact spans at most W.  The series
-is divided by its content gcd once, when the level ends.
+that monomial, because a power that is exact spans at most W; the product
+of the f_j^b_j is formed once per distinct (b_1..b_k) of a level.  The
+series is divided by its content gcd once, when the level ends.  The power
+tables go in and out of the helpers as arguments, so a call leaves no
+reference cycle behind for the collector.
 """
 
 from __future__ import annotations
@@ -52,10 +62,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, inf, lcm
 
 from .errors import InvariantViolationError, PreconditionError
-from .poly import Poly, _canonical, _pack, _subtract_into, _top_term, _x_offset
+from .poly import Poly, _canonical, _pack, _power, _subtract_into, _top_term, _x_offset
 from .semidegree import XI, XY, GenericDPS
 
 
@@ -89,26 +100,36 @@ class EssentialKeyForms:
         """The full key-form chain with the pole order of each form.
 
         x, then y and the head truncations of f_1, then for each later level
-        the partial sums of its lift after the leading power, in order of
+        the running form of its step-wise subtraction: the leading power
+        minus the other terms of its lift one at a time, in order of
         decreasing weight a*omega_0 + sum b_j*omega_j (the order in which the
-        engine absorbed them), each projected through evaluate.  A form's
-        pole order is the weight of the lift's next term, or omega_{k+1}
-        after the last term of level k; the last form of each level is the
-        essential f_{k+1}.
+        engine absorbed them).  A form's pole order is the weight of the
+        lift's next term, or omega_{k+1} after the last term of level k; the
+        last form of each level is the essential f_{k+1}.
         """
         def weight(key) -> int:
             return sum(e * w for e, w in zip(key, self.omegas))
 
         yield self.forms[0], self.omegas[0]
         y = Poly.monomial(XY, (0, 1))
+        powers: dict = {}  # shared by the levels after the first
         for k, lift in enumerate(self.lifts):
+            # F_1 is written in the plain coordinate y; later lifts in the forms
             images = self.forms[: k + 1] if k else (self.forms[0], y)
             # the leading power is the one term of full degree in the last y
-            top = lift.deg(len(lift.names) - 1)
-            terms = sorted(lift.terms.items(), key=lambda t: (t[0][-1] != top, -weight(t[0])))
-            for n in range(1 if k == 0 else 2, len(terms) + 1):
-                pole = weight(terms[n][0]) if n < len(terms) else self.omegas[k + 1]
-                yield Poly(lift.names, dict(terms[:n])).evaluate(images), pole
+            last = len(lift.names) - 1
+            top = lift.deg(last)
+            lead = (0,) * last + (top,)
+            steps = sorted(
+                ((key, (-v, lift.den)) for key, v in lift.num.items() if key != lead),
+                key=lambda step: -weight(step[0]),
+            )
+            poles = [weight(key) for key, _ in steps] + [self.omegas[k + 1]]
+            running = zip(_running_forms(images, top, steps, powers if k else {}), poles)
+            if k:  # the bare power f_k^p_k is no key form
+                next(running)
+            for (num, den), pole in running:
+                yield _canonical(XY, dict(num), den), pole
 
 
 def is_polynomial(f: Poly) -> bool:
@@ -116,42 +137,64 @@ def is_polynomial(f: Poly) -> bool:
     return f.is_zero() or f.ord() >= 0
 
 
-def _decompose_weight(target: int, omegas, ps) -> tuple[int, tuple[int, ...]]:
-    """Unique (a, (b_1..b_k)) with a*omega_0 + sum b_j omega_j = target,
-    0 <= b_j < p_j.  Each b_j is the one residue that leaves the rest of the
-    target divisible by gcd(omega_0..omega_{j-1}); it exists and is unique
-    exactly on the lattice targets the absorption loop produces."""
+def _weight_plan(omegas, ps) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+    """What _decompose needs to write targets over the poles omega_0..omega_k
+    with bounds p_1..p_k: omega_0, and for j = k down to 1 the tuple
+    (omega_j, h_j, p_j, (omega_j/h_j)^-1 mod p_j), h_j = gcd(omega_0..omega_j).
+
+    With g_j = gcd(omega_0..omega_{j-1}) the decomposition is unique exactly
+    when g_j = p_j*h_j for every j; that gcd structure is checked here, once
+    for all the targets of a level."""
     k = len(omegas) - 1
     if len(ps) != k:
         raise InvariantViolationError(
             "one bound p_j per pole after omega_0 expected", omegas=tuple(omegas), ps=tuple(ps)
         )
-    t = target
-    betas = [0] * k
-    for j in range(k, 0, -1):
-        g = 0
-        for w in omegas[:j]:
-            g = gcd(g, w)
-        found = [b for b in range(ps[j - 1]) if (t - b * omegas[j]) % g == 0]
-        if len(found) != 1:
+    plan = []
+    g = omegas[0]
+    for w, p in zip(omegas[1:], ps):
+        h = gcd(g, w)
+        if g != p * h:
             raise InvariantViolationError(
                 "weight decomposition not unique",
-                target=target,
                 omegas=tuple(omegas),
                 ps=tuple(ps),
-                j=j,
-                candidates=found,
+                j=len(plan) + 1,
+                gcd=g,
+                expected=p * h,
             )
-        betas[j - 1] = found[0]
-        t -= found[0] * omegas[j]
-    if t % omegas[0] != 0:
+        # g/h = p is prime to w/h, so the inverse exists (it is 0 for p = 1)
+        plan.append((w, h, p, pow(w // h, -1, p)))
+        g = h
+    return omegas[0], tuple(reversed(plan))
+
+
+def _decompose(target: int, plan) -> tuple[int, tuple[int, ...]]:
+    """The unique (a, (b_1..b_k)) with a*omega_0 + sum b_j omega_j = target
+    and 0 <= b_j < p_j, for the plan of the poles (see _weight_plan).  Going
+    down from j = k, the rest t of the target must be a multiple of h_j,
+    and b_j = (t/h_j) * (omega_j/h_j)^-1 mod p_j is the one residue that
+    leaves t - b_j*omega_j a multiple of g_j; the targets the absorption
+    loop produces are exactly those on the lattice h_k*Z."""
+    w0, steps = plan
+    t = target
+    betas = []
+    for w, h, p, inv in steps:
+        if t % h:
+            raise InvariantViolationError(
+                "weight decomposition not unique", target=target, plan=plan, rest=t, candidates=[]
+            )
+        b = t // h * inv % p
+        betas.append(b)
+        t -= b * w
+    if t % w0:
         raise InvariantViolationError(
             "x-part of the weight decomposition is fractional",
             target=target,
-            omegas=tuple(omegas),
+            plan=plan,
             remainder=t,
         )
-    return t // omegas[0], tuple(betas)
+    return t // w0, tuple(reversed(betas))
 
 
 def omega_decompose(n: int, k: int, keys: EssentialKeyForms) -> tuple[int, tuple[int, ...]]:
@@ -165,7 +208,7 @@ def omega_decompose(n: int, k: int, keys: EssentialKeyForms) -> tuple[int, tuple
     for _, p in pairs[k:]:
         scale *= p
     ps = [p for _, p in pairs[:k]]
-    return _decompose_weight(n * scale, keys.omegas[: k + 1], ps)
+    return _decompose(n * scale, _weight_plan(keys.omegas[: k + 1], ps))
 
 
 def _integer_head(g: GenericDPS) -> tuple[list[tuple[int, int]], int]:
@@ -216,19 +259,22 @@ def essential_key_forms(g: GenericDPS) -> EssentialKeyForms:
         except _WindowTooSmall:
             width *= 2
 
+    powers: dict = {}  # (j, b) -> f_j**b, shared by the levels
     for k, level in enumerate(steps, start=1):
         # x^0 y_k^p_k minus the absorbed terms, over the lcm of their denominators
+        p = pairs[k - 1][1]
         d = 1
         for _, (_, cd) in level:
             d = lcm(d, cd)
         names = _lift_names(k)
-        lift = {_pack((0,) * k + (pairs[k - 1][1],), names): d}
+        lift = {_pack((0,) * k + (p,), names): d}
         for key, (cn, cd) in level:
             key = _pack(key, names)
             lift[key] = lift.get(key, 0) - cn * (d // cd)
-        lift = _canonical(names, {key: v for key, v in lift.items() if v}, d)
-        lifts.append(lift)
-        forms.append(lift.evaluate(forms))
+        lifts.append(_canonical(names, {key: v for key, v in lift.items() if v}, d))
+        # f_{k+1} = f_k^p_k minus the same steps in (x, y)
+        *_, (num, den) = _running_forms(forms, p, level, powers)
+        forms.append(_canonical(XY, num, den))
 
     result = EssentialKeyForms(
         source=g, forms=tuple(forms), lifts=tuple(lifts), omegas=tuple(omegas)
@@ -238,10 +284,38 @@ def essential_key_forms(g: GenericDPS) -> EssentialKeyForms:
 
 
 _ONE = Poly.monomial(XI, (0, 0))
+_ONE_XY = Poly.monomial(XY, (0, 0))
 
 
 class _WindowTooSmall(Exception):
     """A read fell below an exactness floor: rerun with a wider window."""
+
+
+def _running_forms(images, p: int, steps, powers: dict):
+    """The step-wise subtraction that turns a lift into its form: with k the
+    last index of images, images[k]**p, then after each step (key, (n, m))
+    in turn the form so far minus (n/m) * x^a0 * prod_j images[j]**b_j for
+    key = (a0, b_1..b_k).  Yields (numerators, denominator) after the power
+    and after each step; the numerator dict is the same one, changed in
+    place.  powers caches images[j]**b by (j, b) (see poly._power), and the
+    product of each distinct (b_1..b_k) is formed once."""
+    k = len(images) - 1
+    start = _power(images, k, p, powers)
+    num, den = dict(start._num), start.den
+    yield num, den
+    names = start.names
+    products: dict[tuple[int, ...], Poly] = {}
+    for (a0, *betas), (n, m) in steps:
+        betas = tuple(betas)
+        q = products.get(betas)
+        if q is None:
+            factors = [_power(images, j, b, powers) for j, b in enumerate(betas, start=1) if b]
+            q = factors[0] if factors else _ONE_XY
+            for factor in factors[1:]:
+                q = q.mul(factor)
+            products[betas] = q
+        den = _subtract_into(num, den, q, n, m, _x_offset(a0, names))
+        yield num, den
 
 
 def _top(num: dict, floor) -> tuple[int, bool, int]:
@@ -269,6 +343,16 @@ def _times(a: Poly, fa, b: Poly, fb, width: int) -> tuple[Poly, float | int]:
     return a.mul(b, floor), floor
 
 
+def _cut_power(powers: dict, j: int, b: int, width: int) -> tuple[Poly, float | int]:
+    """f_j**b substituted, with its floor: the windowed product of the
+    powers b//2 and b - b//2, kept in powers by (j, b); (j, 1) is f_j."""
+    got = powers.get((j, b))
+    if got is None:
+        low = _cut_power(powers, j, b // 2, width)
+        got = powers[(j, b)] = _times(*low, *_cut_power(powers, j, b - b // 2, width), width)
+    return got
+
+
 def _absorb(g: GenericDPS, subs, width: int):
     """The absorption of every level on series cut to the window width.
 
@@ -285,15 +369,14 @@ def _absorb(g: GenericDPS, subs, width: int):
     # f_j**b substituted, with its floor, by (j, b); (j, 1) is f_j itself
     powers: dict[tuple[int, int], tuple[Poly, float | int]] = {(1, 1): (subs[1], -inf)}
 
-    def power(j: int, b: int):
-        if (j, b) not in powers:
-            powers[(j, b)] = _times(*power(j, b // 2), *power(j, b - b // 2), width)
-        return powers[(j, b)]
-
     steps: list[list[tuple[tuple[int, ...], tuple[int, int]]]] = []
     for k in range(1, l + 1):
-        s, fs = power(k, ps[k - 1])
+        s, fs = _cut_power(powers, k, ps[k - 1], width)
         w_stop = _stopping_exponent(s, fs, k, l, cum)
+        plan = _weight_plan(omegas, ps[:k])
+        # f_1^b_1 ... f_k^b_k substituted, its floor and its lead numerator,
+        # by (b_1..b_k): steps of one level repeat them with other a0
+        corrections: dict[tuple[int, ...], tuple[Poly, float | int, int]] = {}
         # s as numerators over one denominator, changed in place step by step
         num, den = dict(s._num), s.den
         level: list[tuple[tuple[int, ...], tuple[int, int]]] = []
@@ -326,23 +409,29 @@ def _absorb(g: GenericDPS, subs, width: int):
                     stopping=w_stop,
                 )
             last_deg = d
-            a0, betas = _decompose_weight(d, omegas[: k + 1], ps[:k])
+            a0, betas = _decompose(d, plan)
             key = (a0, *betas)
-            # f_1^b_1 ... f_k^b_k substituted; x^a0 shifts it by a0*omega_0
-            factors = [power(j, b) for j, b in enumerate(betas, start=1) if b]
-            correction, fc = factors[0] if factors else (_ONE, -inf)
-            for factor in factors[1:]:
-                correction, fc = _times(correction, fc, *factor, width)
-            _, xi_free, ln = _top(correction._num, fc)
-            if not xi_free:
-                raise InvariantViolationError(
-                    "xi-dependent leading coefficient in a correction factor",
-                    coefficient=repr(correction.leading()),
-                    k=k,
-                    key=key,
-                )
+            if betas in corrections:
+                correction, fc, ln = corrections[betas]
+            else:
+                factors = [
+                    _cut_power(powers, j, b, width) for j, b in enumerate(betas, start=1) if b
+                ]
+                correction, fc = factors[0] if factors else (_ONE, -inf)
+                for factor in factors[1:]:
+                    correction, fc = _times(correction, fc, *factor, width)
+                _, xi_free, ln = _top(correction._num, fc)
+                if not xi_free:
+                    raise InvariantViolationError(
+                        "xi-dependent leading coefficient in a correction factor",
+                        coefficient=repr(correction.leading()),
+                        k=k,
+                        key=key,
+                    )
+                corrections[betas] = correction, fc, ln
             # the coefficient (cn/den) / (ln/correction.den), in lowest terms
-            # over a positive denominator, cancels the top term
+            # over a positive denominator, cancels the top term; x^a0 shifts
+            # the correction by a0*omega_0
             n, m = cn * correction.den, den * ln
             if m < 0:
                 n, m = -n, -m
@@ -358,6 +447,7 @@ def _absorb(g: GenericDPS, subs, width: int):
     return omegas, steps
 
 
+@lru_cache(maxsize=None)
 def _lift_names(k: int) -> tuple[str, ...]:
     return ("x",) + tuple(f"y{j}" for j in range(1, k + 1))
 

@@ -23,13 +23,16 @@ numerators over one common denominator den > 0, with no factor common to
 den and every numerator.  Every operation runs on these ints and divides
 its result by their gcd once (_canonical); products of terms are summed in
 one kernel (_combine), which mul and evaluate share.  A Fraction is
-built only when terms or coeff is read.
+built only when terms or coeff is read.  evaluate serves substitute and the
+tests; the key-form engine forms each key form from its absorption steps
+(see keyforms) and never evaluates a lift.
 
 Only mul takes a floor, below which it forms no term; power multiplies in
 full.  The key-form engine builds its cut powers as products (see
 keyforms), so its window rule lives there alone.  It changes a series in
 place through three primitives here (_x_offset, _top_term,
-_subtract_into), so that no other module knows the key layout.
+_subtract_into), so that no other module knows the key layout, and builds
+the powers of its forms with _power.
 """
 
 from __future__ import annotations

@@ -235,7 +235,8 @@ class CharacteristicData:
     Every entry is an int (a bool is not), every p_k >= 2 and
     gcd(q_k, p_k) = 1.  The sign/monotonicity pattern of the q_k depends on
     which orientation the pairs were extracted from; the local-side
-    validation lives in local_pair_data.
+    validation lives in local_pair_data.  The running products of the p_k
+    and the betas are computed on the first call and kept.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -264,7 +265,11 @@ class CharacteristicData:
 
     def cumulative_p(self) -> tuple[int, ...]:
         """(p_1, p_1p_2, ..., p_1..p_k)."""
-        return cumulative_products(self.pairs)
+        cum = self.__dict__.get("_cum")
+        if cum is None:
+            cum = cumulative_products(self.pairs)
+            object.__setattr__(self, "_cum", cum)
+        return cum
 
     def char_exponents(self) -> tuple[Fraction, ...]:
         """q_k / (p_1..p_k) for each pair."""
@@ -275,8 +280,12 @@ class CharacteristicData:
     def betas(self) -> tuple[int, ...]:
         """The scaled characteristic exponents beta_k = q_k * p / (p_1..p_k),
         i.e. the polydromy times char_exponents()."""
-        p = self.polydromy
-        return tuple(q * (p // cp) for (q, _), cp in zip(self.pairs, self.cumulative_p()))
+        betas = self.__dict__.get("_betas")
+        if betas is None:
+            p = self.polydromy
+            betas = tuple(q * (p // cp) for (q, _), cp in zip(self.pairs, self.cumulative_p()))
+            object.__setattr__(self, "_betas", betas)
+        return betas
 
 
 def check_r(r) -> None:
@@ -531,9 +540,85 @@ def _integer(toks, i: int) -> tuple[int, int]:
         raise SeriesParseError("integer has too many digits", at) from None
 
 
+# one term of a series as the walk reads it, from the whitespace before its
+# sign through the whitespace after it: sign, coefficient (numerator,
+# denominator), variable, and its exponent (an integer, or the numerator and
+# denominator in parentheses); the '*' stands only after a coefficient
+_SERIES_TERM = re.compile(
+    r"\s*([+-]?)\s*"
+    r"(?:([0-9]+)(?:/\s*([0-9]+))?)?"
+    r"(?:(?(2)\s*\*\s*)([ux])"
+    r"(?:\s*\^\s*(?:(-?[0-9]+)|\(\s*(-?[0-9]+)(?:/\s*([0-9]+))?\s*\)))?)?"
+    r"\s*"
+)
+
+
 def parse_puiseux(text: str, orientation: Orientation | None = None) -> PuiseuxPoly:
     """Parse a one-variable series; the variable letter (u or x) fixes the
-    orientation unless one is supplied.  parse o format o parse = id."""
+    orientation unless one is supplied.  parse o format o parse = id.
+
+    Well-formed text is read one _SERIES_TERM match per term; any text the
+    matches do not take in full, or whose terms break a rule, is read again
+    by the token walk, which raises the SeriesParseError."""
+    read = _match_series(text)
+    terms, seen = read if read is not None else _walk_series(text)
+    if seen is not None and orientation is not None and seen is not orientation:
+        raise SeriesParseError("series variable conflicts with the requested orientation", 0)
+    final = seen or orientation
+    if final is None:
+        raise SeriesParseError("cannot infer the orientation (no variable present)", 0)
+    return PuiseuxPoly._make(final, *_store(final, terms))
+
+
+def _match_series(text: str):
+    """(exponent -> coefficient, orientation of the variable or None) of a
+    series read by _SERIES_TERM, each rational a reduced (numerator,
+    denominator) pair; None where the walk must read it: a match with no
+    coefficient and no variable, a missing or extra sign, a zero
+    denominator, mixed variables, a repeated exponent or more digits than
+    int() reads."""
+    terms: dict[tuple[int, int], tuple[int, int]] = {}
+    seen: Orientation | None = None
+    pos, end = 0, len(text)
+    match = _SERIES_TERM.match
+    while True:
+        m = match(text, pos)
+        sign, var = m[1], m[4]
+        try:  # the digit groups, None where one did not match
+            n, d, e, en, ed = [v and int(v) for v in m.group(2, 3, 5, 6, 7)]
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            return None
+        if not (m[2] or var) or (sign == "+" if pos == 0 else not sign) or d == 0 or ed == 0:
+            return None
+        if var is None:
+            exp = (0, 1)
+        else:
+            this = Orientation.LOCAL if var == "u" else Orientation.DEGREEWISE
+            if seen is not this:
+                if seen is not None:
+                    return None
+                seen = this
+            if e is not None:
+                exp = (e, 1)
+            elif en is not None:
+                ed = ed or 1
+                g = gcd(en, ed)
+                exp = (en // g, ed // g)
+            else:
+                exp = (1, 1)
+        n, d = (1, 1) if n is None else (n, d or 1)
+        if n:
+            if exp in terms:
+                return None
+            g = gcd(n, d)
+            terms[exp] = ((-n if sign == "-" else n) // g, d // g)
+        pos = m.end()
+        if pos == end:
+            return terms, seen
+
+
+def _walk_series(text: str):
+    """What _match_series reads, by the token walk, or SeriesParseError."""
     terms: dict[tuple[int, int], tuple[int, int]] = {}
     seen: Orientation | None = None
     for coeff, powers, pos in parse_terms(text, ("u", "x")):
@@ -552,12 +637,7 @@ def parse_puiseux(text: str, orientation: Orientation | None = None) -> PuiseuxP
         if e in terms:
             raise SeriesParseError(f"duplicate exponent {Fraction(*e)}", pos)
         terms[e] = coeff
-    if seen is not None and orientation is not None and seen is not orientation:
-        raise SeriesParseError("series variable conflicts with the requested orientation", 0)
-    final = seen or orientation
-    if final is None:
-        raise SeriesParseError("cannot infer the orientation (no variable present)", 0)
-    return PuiseuxPoly._make(final, *_store(final, terms))
+    return terms, seen
 
 
 def format_puiseux(phi: PuiseuxPoly) -> str:

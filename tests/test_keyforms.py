@@ -1,6 +1,7 @@
 """The key-form engine: worked chains, lifts, pole orders, decompositions,
 and the windowed products it raises its powers with."""
 
+import gc
 import hashlib
 from fractions import Fraction
 from math import gcd, inf, prod
@@ -247,6 +248,44 @@ def test_omega_decompose_agrees_with_brute_force(worked):
             scale = prod(ps[k:])
             sols = decompose_bruteforce(n * scale, list(keys.omegas[: k + 1]), ps[:k])
             assert sols == [omega_decompose(n, k, keys)]
+
+
+def _seeded_engines(seeds=range(0, 100, 4), rs=(0, 1, 3, 8, 21)):
+    """(generic series, key forms) of seeded germs of the engine pin below."""
+    for seed in seeds:
+        curve = local_to_degreewise(seeded_curve(seed))
+        for r in rs:
+            g = generic_dps_from_curve(curve, r)
+            yield g, essential_key_forms(g)
+
+
+def test_closed_form_decomposition_agrees_with_brute_force_off_the_lattice_too():
+    """Every target in a band around each level's poles: where brute force
+    finds the one bounded writing the plan gives it, and where it finds none
+    (the target is off the lattice of the poles) the plan refuses it."""
+    for g, keys in _seeded_engines():
+        ps = [p for _, p in g.formal_pairs]
+        for k in range(len(keys.omegas)):
+            omegas = keys.omegas[: k + 1]
+            plan = keyforms._weight_plan(omegas, ps[:k])
+            for t in range(-2 * omegas[0], 3 * omegas[0] + 1):
+                sols = decompose_bruteforce(t, list(omegas), ps[:k])
+                if sols:
+                    assert sols == [keyforms._decompose(t, plan)]
+                else:
+                    with pytest.raises(InvariantViolationError):
+                        keyforms._decompose(t, plan)
+
+
+def test_weight_plan_checks_the_gcd_structure():
+    """Over the poles (6, 10) with p_1 = 2, g_1 = 6 is not p_1 * h_1 =
+    2 * gcd(6, 10), so the bounded writings are not unique for every target;
+    the plan refuses the poles before any target is read."""
+    with pytest.raises(InvariantViolationError, match="weight decomposition not unique"):
+        keyforms._weight_plan((6, 10, 7), (2, 2))
+    with pytest.raises(InvariantViolationError, match="one bound p_j per pole"):
+        keyforms._weight_plan((6, 10, 7), (3,))
+    assert keyforms._decompose(13 * 2, keyforms._weight_plan((6, 10), (3,))) == (1, (2,))
 
 
 def test_omega_decompose_range_check(worked):
@@ -645,6 +684,56 @@ def test_multi_pair_anchors(series, omegas):
     if omegas is not None:
         assert rep.key_forms.omegas == omegas
     assert rep.algebraic is True
+
+
+def _prefix_chain(keys):
+    """The full chain by its definition: each form a partial sum of its
+    lift, leading power first and then by decreasing weight, evaluated
+    afresh at the forms before it."""
+    def weight(key):
+        return sum(e * w for e, w in zip(key, keys.omegas))
+
+    out = [(keys.forms[0], keys.omegas[0])]
+    for k, lift in enumerate(keys.lifts):
+        images = keys.forms[: k + 1] if k else (X, Y)
+        top = lift.deg(len(lift.names) - 1)
+        terms = sorted(lift.terms.items(), key=lambda t: (t[0][-1] != top, -weight(t[0])))
+        for n in range(1 if k == 0 else 2, len(terms) + 1):
+            pole = weight(terms[n][0]) if n < len(terms) else keys.omegas[k + 1]
+            out.append((Poly(lift.names, dict(terms[:n])).evaluate(images), pole))
+    return out
+
+
+def test_forms_and_chain_are_their_lifts_evaluated():
+    """The engine forms f_{k+1} as f_k^p_k minus its absorption steps, and
+    the chain yields the running form of that subtraction; both are the lift
+    evaluated at the forms before it, the form whole and the chain prefix by
+    prefix, on seeded germs of the engine pin and both restart anchors."""
+    engines = list(_seeded_engines(range(100)))
+    anchors = [_germ(series, r) for series, r, *_ in RESTART_ANCHORS]
+    engines += [(g, essential_key_forms(g)) for g in anchors]
+    for n, (_, keys) in enumerate(engines):
+        assert keys.forms[1] == keys.lifts[0].evaluate((X, Y))
+        for k in range(2, len(keys.forms)):
+            assert keys.forms[k] == keys.lifts[k - 1].evaluate(keys.forms[:k])
+        if n % 10 == 0:
+            assert list(keys.chain()) == _prefix_chain(keys)
+
+
+def test_the_engine_leaves_no_cyclic_garbage():
+    """No reference cycle outlives an engine call: with the collector off,
+    the engine on both restart anchors leaves nothing for it to collect."""
+    germs = [_germ(series, r) for series, r, *_ in RESTART_ANCHORS]
+    was_on = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for g in germs:
+            essential_key_forms(g)
+        assert gc.collect() == 0
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def _engine_text(keys) -> str:

@@ -16,6 +16,7 @@ from strategies import generic_series, laurent_polys, local_curves, local_pair_d
 
 from germcontract import (
     Classification,
+    Poly,
     essential_key_forms,
     generic_dps_from_curve,
     is_algebraic,
@@ -61,6 +62,21 @@ def test_chain_poles_match_the_closed_form(curve, r):
     # the forms of a level share the y-degree of its essential form and end on it
     last = {f.deg(1): (f, w) for f, w in chain}
     assert list(last.values()) == list(zip(keys.forms, keys.omegas))
+
+
+@BREADTH
+@given(
+    curve=local_curves(tangent=True, max_pairs=3, max_polydromy=24),
+    r=st.integers(0, 10),
+)
+def test_forms_are_their_lifts_evaluated(curve, r):
+    """The engine forms f_{k+1} from f_k^p_k and its absorption steps; that
+    is the lift F_{k+1} evaluated at the forms before it (F_1 at x and y)."""
+    keys = essential_key_forms(generic_dps_from_curve(local_to_degreewise(curve), r))
+    x, y = keys.forms[0], Poly.monomial(("x", "y"), (0, 1))
+    assert keys.forms[1] == keys.lifts[0].evaluate((x, y))
+    for k in range(2, len(keys.forms)):
+        assert keys.forms[k] == keys.lifts[k - 1].evaluate(keys.forms[:k])
 
 
 @BREADTH

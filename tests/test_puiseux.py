@@ -27,6 +27,7 @@ from germcontract import (
     parse_puiseux,
     puiseux_pairs,
 )
+from germcontract import puiseux
 from germcontract.puiseux import local_pair_data, parse_terms
 from germcontract.semidegree import XI
 
@@ -361,6 +362,67 @@ def test_parse_terms_matches_the_scanner(text, variables):
     assert got[0] is SeriesParseError
     if want[0] is OracleParseError and text.isascii():
         assert got[1:] == want[1:]
+
+
+# terms in one variable, spaced as the grammar allows
+SUM_TERMS = (
+    "{v}", "13", "2/4", "{v}^(3/5)", "{v}^-2", "7/ 3 * {v} ^ ( -1/ 3 )", "0*{v}", "0",
+    "{v}^(4/6)", "{v} ^2", "5*{v}^(0/3)",
+)
+
+
+@st.composite
+def series_sums(draw):
+    """A signed sum of terms in u or in x, mostly well formed; a repeated
+    exponent or a stray piece makes it one the walk refuses."""
+    v = draw(st.sampled_from("ux"))
+    terms = draw(st.lists(st.sampled_from(SUM_TERMS), min_size=1, max_size=5))
+    signs = draw(st.lists(st.sampled_from(["+", " - ", "-", " + "]), min_size=len(terms)))
+    text = draw(st.sampled_from(["", "-", " - "])) + terms[0].format(v=v)
+    for sign, term in zip(signs, terms[1:]):
+        text += sign + term.format(v=v)
+    if draw(st.integers(0, 4)) == 0:
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(st.sampled_from(TEXT_PIECES)) + text[k:]
+    return text
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(text=st.one_of(series_texts(), series_sums()))
+def test_term_pattern_reads_what_the_token_walk_reads(text):
+    """parse_puiseux reads a series one pattern match per term and hands any
+    text the matches do not take in full to the token walk: where the
+    pattern gives a reading it is the walk's, term order included, and a
+    text the walk refuses never gets one."""
+    try:
+        want = puiseux._walk_series(text)
+    except SeriesParseError:
+        want = None
+    got = puiseux._match_series(text)
+    if got is not None:
+        assert got == want and list(got[0]) == list(want[0])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["u^(3/5) + u^2", " - 2/4*x^(-6/ 4) - 3 + x ", "u^( -1/3 )+0*u", "7/ 3 * u ^ 2 - u^-1"],
+)
+def test_term_pattern_takes_well_formed_series(text):
+    got = puiseux._match_series(text)
+    assert got is not None and got == puiseux._walk_series(text)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() reads any length"
+)
+def test_digits_past_the_limit_go_to_the_token_walk():
+    """A coefficient past int()'s digit limit matches the term pattern but
+    is not read by it; the walk reports it at its position."""
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    assert puiseux._match_series(f"u + {digits}*u^2") is None
+    with pytest.raises(SeriesParseError, match="too many digits") as err:
+        parse_puiseux(f"u + {digits}*u^2")
+    assert err.value.position == 4
 
 
 # --- the integer store against the Fraction-dict oracle ----------------------
