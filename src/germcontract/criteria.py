@@ -201,6 +201,9 @@ def semigroup_conditions(local_pairs, r: int) -> SemigroupReport:
     S1-k: p_k * w_k is a non-negative combination of w_0..w_{k-1};
     S2-k: every integer of the group Z<w_0..w_k> lying strictly between
     w_{k+1} and p_k * w_k also lies in the semigroup of those generators.
+    The offender of a failing S2-k is the largest such gap, read from the
+    top: the first multiple of gcd(w_0..w_k) below p_k * w_k, going down,
+    that semigroup_membership refuses.
 
     All S1 and all S2 hold -> every contraction is algebraic; all S1 hold
     but some S2 fails -> both kinds occur; some S1 fails -> no contraction
@@ -231,13 +234,9 @@ def semigroup_conditions(local_pairs, r: int) -> SemigroupReport:
         target = p_k * vp.omegas[k]
         s1.append(semigroup_membership(target, vp.omegas[:k]))
         gens = vp.omegas[: k + 1]
-        step = gcd(*gens)
-        offender = None
-        for n in range(ladder[k + 1] + 1, target):
-            if n % step:
-                continue
-            if not semigroup_membership(n, gens):
-                offender = n
+        step = gcd(*gens)  # it divides target, so the scan stays on the group
+        window = range(target - step, ladder[k + 1], -step)
+        offender = next((n for n in window if not semigroup_membership(n, gens)), None)
         s2.append(S2Entry(k, offender is None, offender))
     if all(s1):
         cls = (

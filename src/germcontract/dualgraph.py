@@ -258,7 +258,7 @@ def export_graph(g: DualGraph, format: str = "dot") -> str:
     sorted order, two-space indent, labels escaped to ASCII by the json
     module's own string encoder and [] for an empty list.  The test suite
     checks it against that json.dumps call (tests/oracles.py)."""
-    fmt = format.lower()
+    fmt = format.lower() if isinstance(format, str) else None
     if fmt == "dot":
         lines = ["graph G {"]
         for v in g.vertices:

@@ -19,8 +19,9 @@ raised as invariant violations with a state dump if they ever fail, since the
 decomposition of the target weight over (omega_0..omega_k) with bounded
 middle coefficients only exists under them.  That decomposition is in closed
 form: each b_j is one modular inverse away from the rest of the target, by a
-plan built once per level, which checks the gcd structure of the poles it
-reads (_weight_plan, _decompose).
+plan built once per level (_weight_plan, _decompose).  A plan checks the gcd
+ladder of the poles it reads, and one plan over all of omega_0..omega_{l+1}
+checks the whole ladder once the run ends.
 
 The absorption reads only the top of each raised power, so substituted series
 are built only that far down.  Each one carries an exactness floor f: its
@@ -143,7 +144,7 @@ def _weight_plan(omegas, ps) -> tuple[int, tuple[tuple[int, int, int, int], ...]
     (omega_j, h_j, p_j, (omega_j/h_j)^-1 mod p_j), h_j = gcd(omega_0..omega_j).
 
     With g_j = gcd(omega_0..omega_{j-1}) the decomposition is unique exactly
-    when g_j = p_j*h_j for every j; that gcd structure is checked here, once
+    when g_j = p_j*h_j for every j; that gcd ladder is checked here, once
     for all the targets of a level."""
     k = len(omegas) - 1
     if len(ps) != k:
@@ -202,8 +203,8 @@ def omega_decompose(n: int, k: int, keys: EssentialKeyForms) -> tuple[int, tuple
     with a*omega_0 + sum_j betas[j]*omega_j = n * p_{k+1}..p_{l+1} and
     0 <= betas[j] < p_{j+1}."""
     pairs = keys.source.formal_pairs
-    if not 0 <= k <= len(pairs):
-        raise PreconditionError(f"k = {k} out of range")
+    if type(n) is not int or type(k) is not int or not 0 <= k <= len(pairs):
+        raise PreconditionError(f"n = {n!r} and k = {k!r} must be ints, k in 0 .. {len(pairs)}")
     scale = 1
     for _, p in pairs[k:]:
         scale *= p
@@ -276,11 +277,10 @@ def essential_key_forms(g: GenericDPS) -> EssentialKeyForms:
         *_, (num, den) = _running_forms(forms, p, level, powers)
         forms.append(_canonical(XY, num, den))
 
-    result = EssentialKeyForms(
-        source=g, forms=tuple(forms), lifts=tuple(lifts), omegas=tuple(omegas)
-    )
-    _check_gcd_structure(result)
-    return result
+    # the whole gcd ladder: omega_0 = delta_x = p_1..p_{l+1}, so this plan
+    # also forces gcd(omega_0..omega_{l+1}) = 1
+    _weight_plan(omegas, [p for _, p in pairs])
+    return EssentialKeyForms(g, tuple(forms), tuple(lifts), tuple(omegas))
 
 
 _ONE = Poly.monomial(XI, (0, 0))
@@ -476,25 +476,6 @@ def _stopping_exponent(s: Poly, floor, k: int, l: int, cum) -> int:
             series=repr(s),
         )
     return max(cand)
-
-
-def _check_gcd_structure(keys: EssentialKeyForms) -> None:
-    """gcd(omega_0..omega_k) = p_{k+1}..p_{l+1} for every k."""
-    pairs = keys.source.formal_pairs
-    g = 0
-    for k, w in enumerate(keys.omegas):
-        g = gcd(g, w)
-        tail = 1
-        for _, p in pairs[k:]:
-            tail *= p
-        if g != tail:
-            raise InvariantViolationError(
-                "pole gcd structure broken",
-                k=k,
-                gcd=g,
-                expected=tail,
-                omegas=keys.omegas,
-            )
 
 
 def all_key_forms(g: GenericDPS) -> tuple[Poly, ...]:

@@ -152,6 +152,7 @@ class Poly:
 
     def _add(self, other: "Poly", sign: int) -> "Poly":
         """self + sign * other over the lcm of the two denominators."""
+        _same_names(self, other)
         da, db = self.den, other.den
         d = lcm(da, db)
         ma, mb = d // da, sign * (d // db)
@@ -177,6 +178,7 @@ class Poly:
         """The terms of self * other whose first exponent is at least floor;
         the products of terms that fall below it are never formed.  The
         numerators are multiplied and summed as ints (see _combine)."""
+        _same_names(self, other)
         rhs = sorted(other._num.items(), reverse=True)
         rows = ((k, n, rhs) for k, n in self._num.items())
         return _combine(self.names, rows, self.den * other.den, floor)
@@ -269,6 +271,12 @@ def _ratio(v) -> tuple[int, int]:
     """A rational input (int, Fraction, str, ...) as its reduced numerator
     and positive denominator; an int is read without a Fraction."""
     return (v, 1) if type(v) is int else Fraction(v).as_integer_ratio()
+
+
+def _same_names(a: Poly, b: Poly) -> None:
+    """Refuse operands over other variables: their packed keys would mix."""
+    if a.names != b.names:
+        raise PreconditionError(f"operands over {a.names} and {b.names}")
 
 
 def _pack(key: tuple, names: tuple) -> int:

@@ -15,6 +15,7 @@ from germcontract import (
     Orientation,
     PreconditionError,
     PuiseuxPoly,
+    S2Entry,
     alpha_invariant,
     is_algebraic,
     is_contractible,
@@ -289,6 +290,70 @@ def test_trivial_level_count_is_vacuously_algebraic():
     rep = semigroup_conditions([(3, 5)], 0)  # l = 0: no conditions to check
     assert rep.s1 == () and rep.s2 == ()
     assert rep.classification is Classification.ONLY_ALGEBRAIC
+
+
+def _conditions_by_brute_force(pairs, poles):
+    """S1 and the S2 offenders (None where S2 holds) from the definitions:
+    each membership by exhaustive search, and each offender the largest
+    gap of the group in the open window, collected from the bottom."""
+    ladder = poles.omegas + (poles.generic_pole,)
+    s1, offenders = [], []
+    for k in range(1, poles.l + 1):
+        target = pairs[k - 1][1] * poles.omegas[k]
+        gens = list(poles.omegas[: k + 1])
+        s1.append(semigroup_member_bruteforce(target, gens[:-1]))
+        gaps = [
+            n
+            for n in range(ladder[k + 1] + 1, target)
+            if n % gcd(*gens) == 0 and not semigroup_member_bruteforce(n, gens)
+        ]
+        offenders.append(max(gaps, default=None))
+    return tuple(s1), offenders
+
+
+def _small_germs():
+    """Every single pair with q < p <= 8, and two pairs with q_1 < p_1 <= 4,
+    p_2 in (2, 3) and q_2 just above q_1 * p_2."""
+    for p in range(2, 9):
+        yield from ([(q, p)] for q in range(1, p) if gcd(q, p) == 1)
+    for p1 in (2, 3, 4):
+        for q1 in (q for q in range(1, p1) if gcd(q, p1) == 1):
+            for p2 in (2, 3):
+                for q2 in range(q1 * p2 + 1, q1 * p2 + 2 * p2):
+                    if gcd(q2, p2) == 1:
+                        yield [(q1, p1), (q2, p2)]
+
+
+# TWO_PAIR at r = 1 fails S1 at k = 2 and S2 at k = 1; the two 3-pair germs
+# are class Both with S2 failing at k = 2 and k = 3 (the strict xfails below)
+S2_EXAMPLES = [
+    (TWO_PAIR, 1, (6, None)),
+    (((1, 3), (17, 3), (39, 2)), 6, (None, 22, 33)),
+    (((2, 3), (7, 3), (43, 2)), 13, (None, 26, 33)),
+]
+
+
+def test_s2_offenders_are_the_largest_window_gaps():
+    """S1, S2 and the offenders against exhaustive search, on the examples
+    and at every r from 0 up to the first one that is not contractible."""
+    for pairs, r, offenders in S2_EXAMPLES:
+        assert tuple(e.offender for e in semigroup_conditions(pairs, r).s2) == offenders
+    cases = [(pairs, r) for pairs, r, _ in S2_EXAMPLES]
+    for pairs in _small_germs():
+        r = 0
+        while is_contractible(pairs, r):
+            cases.append((pairs, r))
+            r += 1
+    seen = set()
+    for pairs, r in cases:
+        rep = semigroup_conditions(pairs, r)
+        s1, offenders = _conditions_by_brute_force(pairs, rep.poles)
+        assert rep.s1 == s1, (pairs, r)
+        assert rep.s2 == tuple(
+            S2Entry(k, n is None, n) for k, n in enumerate(offenders, start=1)
+        ), (pairs, r)
+        seen.add(rep.classification)
+    assert seen == set(Classification) - {Classification.NOT_CONTRACTIBLE}
 
 
 # --- witnesses ------------------------------------------------------------

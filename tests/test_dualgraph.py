@@ -394,6 +394,10 @@ def test_export_rejects_unknown_format():
     g = build_dual_graph([(3, 5)], 0)
     with pytest.raises(PreconditionError):
         export_graph(g, "xml")
+    # a format that is not a str raised AttributeError on .lower()
+    for fmt in (5, None, b"json"):
+        with pytest.raises(PreconditionError, match="unknown format"):
+            export_graph(g, fmt)
 
 
 def test_builder_preconditions():

@@ -294,6 +294,29 @@ def test_omega_decompose_range_check(worked):
         omega_decompose(1, 4, keys)
     with pytest.raises(PreconditionError):
         omega_decompose(1, -1, keys)
+    # ints only: 3.5 failed as a non-unique decomposition, k = True read as 1
+    for n, k in [(3.5, 1), (1, True), (True, 1), (6, 1.0), (F(6), 1), ("6", 1)]:
+        with pytest.raises(PreconditionError, match="must be ints"):
+            omega_decompose(n, k, keys)
+
+
+@pytest.mark.parametrize("series", ["u^(3/5)", "u^(3/5) + u^(23/10)"])
+def test_one_plan_checks_the_whole_gcd_ladder(monkeypatch, series):
+    """At r = 0 the last formal pair has p_{l+1} > 1.  A last pole scaled by
+    it leaves gcd(omega_0..omega_{l+1}) = p_{l+1}, which no level's plan
+    reads; the plan over all the poles refuses it."""
+    g = _germ(series, 0)
+    p_last = g.formal_pairs[-1][1]
+    assert p_last > 1
+    run = keyforms._absorb
+
+    def tampered(g, subs, width):
+        omegas, steps = run(g, subs, width)
+        return omegas[:-1] + [omegas[-1] * p_last], steps
+
+    monkeypatch.setattr(keyforms, "_absorb", tampered)
+    with pytest.raises(InvariantViolationError, match="weight decomposition not unique"):
+        essential_key_forms(g)
 
 
 # --- lifted polynomials ---------------------------------------------------

@@ -132,6 +132,18 @@ def test_keys_must_be_integer_tuples_over_the_variables():
     assert Poly(XI, {(-(2**40), LIMIT - 1): 1}).num == {(-(2**40), LIMIT - 1): 1}
 
 
+def test_operands_over_other_variables_are_refused():
+    """Packed keys over other names would mix: (x, y) + (x, y, z) read
+    x*y^2*z^0 as x^65538, and (x, y) * (x, z) gave x^2*y^4."""
+    xy = Poly(("x", "y"), {(1, 2): 1})
+    for other in (Poly(("x", "y", "z"), {(1, 2, 0): 1}), Poly(("x", "z"), {(1, 2): 1})):
+        ops = (lambda: xy + other, lambda: xy - other, lambda: xy * other, lambda: xy.mul(other))
+        for op in ops:
+            with pytest.raises(PreconditionError, match="operands over"):
+                op()
+    assert (xy + xy).num == {(1, 2): 2} and (xy * xy).num == {(2, 4): 1}
+
+
 def test_a_later_exponent_that_would_carry_is_refused():
     """Each product here has one term: the refusal comes from the exponent
     reaching 2^15, not from the size of the product."""
