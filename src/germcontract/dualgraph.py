@@ -262,9 +262,9 @@ def export_graph(g: DualGraph, format: str = "dot") -> str:
     if fmt == "dot":
         lines = ["graph G {"]
         for v in g.vertices:
-            lines.append(f'  {v.label} [label="w={v.weight}"];')
+            lines.append(f'  {_dot_id(v.label)} [label="w={v.weight}"];')
         for i, j in g.edges:
-            lines.append(f"  {g.vertices[i].label} -- {g.vertices[j].label};")
+            lines.append(f"  {_dot_id(g.vertices[i].label)} -- {_dot_id(g.vertices[j].label)};")
         lines.append("}")
         return "\n".join(lines)
     if fmt == "json":
@@ -281,6 +281,17 @@ def export_graph(g: DualGraph, format: str = "dot") -> str:
             f'  "vertices": {_json_list(vertices)}\n}}'
         )
     raise PreconditionError(f"unknown format {format!r} (dot or json)")
+
+
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+
+def _dot_id(label: str) -> str:
+    """label as it is when a plain DOT ID ([A-Za-z_][A-Za-z0-9_]*, not a
+    keyword), else double-quoted with \\ and " escaped."""
+    if label.isascii() and label.isidentifier() and label.lower() not in _DOT_KEYWORDS:
+        return label
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _json_list(items: list[str]) -> str:

@@ -32,11 +32,11 @@ itself is its lift F_1 under the names (x, y).  A product A*B is
 exact at or above max(f_A + deg B, f_B + deg A); it is formed only at or
 above that bound and deg A + deg B - W, for a window width W, and the larger
 of the two is its floor; a product of exact factors that the window cuts
-nothing from stays exact.  That is the one window rule (_times).  A power
-S^b is the windowed product of S^(b//2) and S^(b - b//2), so for S of
-degree d and floor f its floor is max((b-1)*d + f, b*d - W); Poly.power
-takes no floor, and the engine never calls it.  A difference takes the
-larger floor.  When the stopping exponent has no candidate at or above the
+nothing from stays exact.  That is the one window rule (_times).  Every
+power comes from poly._power, the one power routine, as the product of the
+powers b//2 and b - b//2; with the window product the power S^b of S of
+degree d and floor f has floor max((b-1)*d + f, b*d - W).  A difference
+takes the larger floor.  When the stopping exponent has no candidate at or above the
 floor, or a degree or leading coefficient the absorption reads lies below
 it, the run is abandoned and redone from level 1 with W doubled.  W starts
 at the semidegree span deg - ord of the generic series (at least 1), which
@@ -67,7 +67,7 @@ from functools import lru_cache
 from math import gcd, inf, lcm
 
 from .errors import InvariantViolationError, PreconditionError
-from .poly import Poly, _canonical, _pack, _power, _subtract_into, _top_term, _x_offset
+from .poly import Poly, _canonical, _pack, _power, _product, _subtract_into, _top_term, _x_offset
 from .semidegree import XI, XY, GenericDPS
 
 
@@ -297,10 +297,12 @@ def _running_forms(images, p: int, steps, powers: dict):
     in turn the form so far minus (n/m) * x^a0 * prod_j images[j]**b_j for
     key = (a0, b_1..b_k).  Yields (numerators, denominator) after the power
     and after each step; the numerator dict is the same one, changed in
-    place.  powers caches images[j]**b by (j, b) (see poly._power), and the
-    product of each distinct (b_1..b_k) is formed once."""
+    place.  powers caches images[j]**b by (j, b) (see poly._power) and is
+    seeded here with each images[j] as (j, 1); the product of each distinct
+    (b_1..b_k) is formed once."""
     k = len(images) - 1
-    start = _power(images, k, p, powers)
+    powers.update({(j, 1): image for j, image in enumerate(images[1:], 1)})
+    start = _power(powers, k, p, Poly.mul)
     num, den = dict(start._num), start.den
     yield num, den
     names = start.names
@@ -309,11 +311,7 @@ def _running_forms(images, p: int, steps, powers: dict):
         betas = tuple(betas)
         q = products.get(betas)
         if q is None:
-            factors = [_power(images, j, b, powers) for j, b in enumerate(betas, start=1) if b]
-            q = factors[0] if factors else _ONE_XY
-            for factor in factors[1:]:
-                q = q.mul(factor)
-            products[betas] = q
+            q = products[betas] = _product(powers, betas, Poly.mul, _ONE_XY)
         den = _subtract_into(num, den, q, n, m, _x_offset(a0, names))
         yield num, den
 
@@ -343,16 +341,6 @@ def _times(a: Poly, fa, b: Poly, fb, width: int) -> tuple[Poly, float | int]:
     return a.mul(b, floor), floor
 
 
-def _cut_power(powers: dict, j: int, b: int, width: int) -> tuple[Poly, float | int]:
-    """f_j**b substituted, with its floor: the windowed product of the
-    powers b//2 and b - b//2, kept in powers by (j, b); (j, 1) is f_j."""
-    got = powers.get((j, b))
-    if got is None:
-        low = _cut_power(powers, j, b // 2, width)
-        got = powers[(j, b)] = _times(*low, *_cut_power(powers, j, b - b // 2, width), width)
-    return got
-
-
 def _absorb(g: GenericDPS, subs, width: int):
     """The absorption of every level on series cut to the window width.
 
@@ -369,9 +357,12 @@ def _absorb(g: GenericDPS, subs, width: int):
     # f_j**b substituted, with its floor, by (j, b); (j, 1) is f_j itself
     powers: dict[tuple[int, int], tuple[Poly, float | int]] = {(1, 1): (subs[1], -inf)}
 
+    def times(a, b):
+        return _times(*a, *b, width)
+
     steps: list[list[tuple[tuple[int, ...], tuple[int, int]]]] = []
     for k in range(1, l + 1):
-        s, fs = _cut_power(powers, k, ps[k - 1], width)
+        s, fs = _power(powers, k, ps[k - 1], times)
         w_stop = _stopping_exponent(s, fs, k, l, cum)
         plan = _weight_plan(omegas, ps[:k])
         # f_1^b_1 ... f_k^b_k substituted, its floor and its lead numerator,
@@ -414,12 +405,7 @@ def _absorb(g: GenericDPS, subs, width: int):
             if betas in corrections:
                 correction, fc, ln = corrections[betas]
             else:
-                factors = [
-                    _cut_power(powers, j, b, width) for j, b in enumerate(betas, start=1) if b
-                ]
-                correction, fc = factors[0] if factors else (_ONE, -inf)
-                for factor in factors[1:]:
-                    correction, fc = _times(correction, fc, *factor, width)
+                correction, fc = _product(powers, betas, times, (_ONE, -inf))
                 _, xi_free, ln = _top(correction._num, fc)
                 if not xi_free:
                     raise InvariantViolationError(

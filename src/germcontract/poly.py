@@ -27,12 +27,14 @@ built only when terms or coeff is read.  evaluate serves substitute and the
 tests; the key-form engine forms each key form from its absorption steps
 (see keyforms) and never evaluates a lift.
 
-Only mul takes a floor, below which it forms no term; power multiplies in
-full.  The key-form engine builds its cut powers as products (see
-keyforms), so its window rule lives there alone.  It changes a series in
-place through three primitives here (_x_offset, _top_term,
-_subtract_into), so that no other module knows the key layout, and builds
-the powers of its forms with _power.
+Only mul takes a floor, below which it forms no term.  One routine raises
+every power (_power), as the product of the powers m//2 and m - m//2 kept
+in a table, and one forms every product f_1^b_1 ... f_k^b_k (_product).
+Both take the product to use: mul for power, evaluate and the key forms,
+the window product of keyforms, where the window rule lives alone, for the
+absorption.  The engine changes a series in place through three primitives
+here (_x_offset, _top_term, _subtract_into), which + and - run on too, so
+that no other module knows the key layout.
 """
 
 from __future__ import annotations
@@ -153,14 +155,8 @@ class Poly:
     def _add(self, other: "Poly", sign: int) -> "Poly":
         """self + sign * other over the lcm of the two denominators."""
         _same_names(self, other)
-        da, db = self.den, other.den
-        d = lcm(da, db)
-        ma, mb = d // da, sign * (d // db)
-        out = {k: v * ma for k, v in self._num.items()} if ma != 1 else dict(self._num)
-        get = out.get
-        for k, v in other._num.items():
-            out[k] = get(k, 0) + v * mb
-        return _canonical(self.names, {k: v for k, v in out.items() if v}, d)
+        num = dict(self._num)
+        return _canonical(self.names, num, _subtract_into(num, self.den, other, -sign, 1, 0))
 
     def __mul__(self, other: "Poly") -> "Poly":
         return self.mul(other)
@@ -184,14 +180,10 @@ class Poly:
         return _combine(self.names, rows, self.den * other.den, floor)
 
     def power(self, n: int) -> "Poly":
-        """self**n by squaring."""
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        if n < 2:
-            return self if n else Poly._make(self.names, {0: 1}, 1)
-        half = self.power(n // 2)
-        square = half.mul(half)
-        return square.mul(self) if n & 1 else square
+        """self**n, as products of halves (see _power)."""
+        if type(n) is not int or n < 0:
+            raise PreconditionError(f"power {n!r} of a polynomial is not an int >= 0")
+        return _power({(0, 0): Poly._make(self.names, {0: 1}, 1), (0, 1): self}, 0, n, Poly.mul)
 
     __pow__ = power
 
@@ -205,7 +197,6 @@ class Poly:
         same exponents of images[1:].  The terms are summed as integer
         numerators over one common denominator (see _combine).
         """
-        cache: dict[tuple[int, int], Poly] = {}
         names = images[0].names
         ((m, cn),) = images[0]._num.items()
         cd = images[0].den
@@ -217,18 +208,16 @@ class Poly:
         shift = _W * (n_vars - 1)
         later = (1 << shift) - 1
         # numerators and denominator of the product of powers per packed
-        # exponents of images[1:]; no powers at all give 1
-        prods = {0: ([(0, 1)], 1)}
+        # exponents of images[1:], from one power table
+        powers = {(j, 1): image for j, image in enumerate(images[1:], 1)}
+        one = Poly._make(names, {0: 1}, 1)
+        prods: dict[int, tuple[list, int]] = {}
         parts = []
         d = 1
         for key, v in self._num.items():
             ys = key & later
             if ys not in prods:
-                prod = None
-                for j, b in enumerate(_unpack(ys, n_vars)[1:], 1):
-                    if b:
-                        pw = _power(images, j, b, cache)
-                        prod = pw if prod is None else prod * pw
+                prod = _product(powers, _unpack(ys, n_vars)[1:], Poly.mul, one)
                 prods[ys] = (list(prod._num.items()), prod.den)
             q, dq = prods[ys]
             # v * c^a over dq, c = cn/cd, with a positive denominator
@@ -283,11 +272,11 @@ def _pack(key: tuple, names: tuple) -> int:
     """The int of the exponent tuple key over names (see the module
     docstring).  The one home of the key rule: one integer per variable,
     every later one in 0 .. 2^15 - 1."""
-    if not key or len(key) != len(names) or not isinstance(key[0], int):
+    if not key or len(key) != len(names) or type(key[0]) is not int:
         raise PreconditionError(f"term key {key} is not one integer per variable of {names}")
     k = key[0]
     for e in key[1:]:
-        if not isinstance(e, int) or not 0 <= e < _LIMIT:
+        if type(e) is not int or not 0 <= e < _LIMIT:
             raise PreconditionError(
                 f"exponent {e!r} of {names[1:]} in {key} is not an integer in 0 .. 2^{_W - 1} - 1"
             )
@@ -388,17 +377,21 @@ def _combine(names: tuple, rows, d: int, floor=-inf) -> Poly:
     return _canonical(names, {k: v for k, v in out.items() if v}, d)
 
 
-def _power(images, j: int, m: int, cache: dict) -> Poly:
-    """images[j]**m, multiplied up from the largest cached power below it."""
-    if (j, m) not in cache:
-        n = m - 1
-        while n and (j, n) not in cache:
-            n -= 1
-        pw = cache[(j, n)] if n else None
-        for i in range(n + 1, m + 1):
-            pw = images[j] if pw is None else pw * images[j]
-            cache[(j, i)] = pw
+def _power(cache: dict, j: int, m: int, times):
+    """cache[(j, 1)]**m: times of the powers m//2 and m - m//2, each formed
+    once and kept in cache by (j, m); the powers 0 and 1 are read as seeded."""
+    if m < 2 or (j, m) in cache:
+        return cache[(j, m)]
+    h = m // 2
+    cache[(j, m)] = times(_power(cache, j, h, times), _power(cache, j, m - h, times))
     return cache[(j, m)]
+
+
+def _product(cache: dict, betas, times, one):
+    """prod_j cache[(j, 1)]**b_j over betas = (b_1, b_2, ...), the powers
+    (see _power) multiplied left to right with times; one if all b_j are 0."""
+    factors = [_power(cache, j, b, times) for j, b in enumerate(betas, start=1) if b]
+    return reduce(times, factors) if factors else one
 
 
 def _format_exponent(e) -> str:

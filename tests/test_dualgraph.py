@@ -304,6 +304,26 @@ def test_dot_export_exact():
     assert export_graph(build_dual_graph([(3, 5)], 0), "dot") == expected
 
 
+def test_dot_export_quotes_a_label_that_is_no_plain_id():
+    """Labels read back from JSON may hold any text; one that is not
+    [A-Za-z_][A-Za-z0-9_]* (or is a DOT keyword) is written as a quoted
+    string with \\ and " escaped, the package's own labels as they are."""
+    labels = ["a b", 'c"d', "e\\", "node", "_x1", "1", "E\u00e9"]
+    doc = {
+        "edges": [[0, 1], [1, 2], [3, 4], [5, 6]],
+        "estar_attachment": [],
+        "vertices": [{"is_Ltilde": False, "label": lab, "weight": -2} for lab in labels],
+    }
+    ids = ['"a b"', '"c\\"d"', '"e\\\\"', '"node"', "_x1", '"1"', '"E\u00e9"']
+    expected = "\n".join(
+        ["graph G {"]
+        + [f'  {i} [label="w=-2"];' for i in ids]
+        + [f"  {ids[i]} -- {ids[j]};" for i, j in doc["edges"]]
+        + ["}"]
+    )
+    assert export_graph(parse_graph_json(json.dumps(doc)), "dot") == expected
+
+
 def test_json_round_trip():
     for pairs, r in [([(3, 5)], 0), ([(3, 5)], 8), (TWO_PAIR, 1)]:
         g = build_dual_graph(pairs, r)

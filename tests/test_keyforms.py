@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import decompose_bruteforce, evaluate_oracle, product_oracle
+from oracles import decompose_bruteforce, evaluate_oracle, poly_oracle, product_oracle
 from strategies import COEFFS, seeded_curve
 
 from germcontract import keyforms, poly
@@ -577,19 +577,19 @@ def test_an_xi_dependent_top_term_is_an_invariant_violation(worked):
     s=xi_series(), q=xi_series(), c=st.sampled_from(COEFFS), e=st.integers(-20, 20)
 )
 def test_in_place_subtraction_and_top_read_match_the_oracle(s, q, c, e):
-    """The in-place step of the absorption against Poly arithmetic on the
-    tuple-keyed terms: s - c * x^e * q, and the top term it reads."""
+    """The in-place step of the absorption against the Fraction dicts of
+    poly_oracle (Poly's + and - run on this kernel themselves): s - c * x^e
+    * q, and the top term it reads."""
     num = dict(s._num)
     den = poly._subtract_into(num, s.den, q, c.numerator, c.denominator, poly._x_offset(e, XI))
-    shifted = {(a + e, b): v for (a, b), v in q.terms.items()}
-    want = s - Poly(XI, shifted).scale(c)
-    assert poly._canonical(XI, num, den) == want
-    if want.is_zero():
+    shifted = poly_oracle(XI, {(a + e, b): v for (a, b), v in q.terms.items()})
+    want = poly_oracle(XI, s.terms).add(shifted.scaled(c), -1)
+    assert poly._canonical(XI, num, den).terms == want.terms
+    if not want.terms:
         return
     d, xi_free, n = poly._top_term(num, XI)
-    lead = want.leading()
     assert d == want.deg()
-    assert xi_free == (lead.deg(1) == 0)
+    assert xi_free == (want.leading().deg(1) == 0)
     top = max(k for k in want.terms if k[0] == d)
     assert F(n, den) == want.terms[top]
 

@@ -132,6 +132,31 @@ def test_keys_must_be_integer_tuples_over_the_variables():
     assert Poly(XI, {(-(2**40), LIMIT - 1): 1}).num == {(-(2**40), LIMIT - 1): 1}
 
 
+def test_a_bool_exponent_is_refused():
+    """True is an int subclass: taken as 1 it made x*y^2 of (True, 2)."""
+    xy = ("x", "y")
+    for key in ((True, 2), (1, True), (False, 0), (0, False)):
+        with pytest.raises(PreconditionError):
+            Poly.monomial(xy, key)
+        with pytest.raises(PreconditionError):
+            Poly(xy, {key: 3})
+        with pytest.raises(PreconditionError):
+            Poly.monomial(xy, (1, 2)).coeff(key)
+
+
+def test_a_power_is_an_int_at_least_zero():
+    """A float, a bool or a negative int is refused; PreconditionError is a
+    ValueError.  2.0 equals 2 as a key of the power table, and True
+    equals 1."""
+    f = Poly(XI, {(1, 0): 1, (0, 1): F(-1, 2)})
+    for n in (2.0, 2.5, True, False, F(2), "2", None, -1, -3):
+        with pytest.raises(PreconditionError):
+            f**n
+        with pytest.raises(ValueError):
+            f.power(n)
+    assert f**0 == Poly(XI, {(0, 0): 1}) and f**1 == f
+
+
 def test_operands_over_other_variables_are_refused():
     """Packed keys over other names would mix: (x, y) + (x, y, z) read
     x*y^2*z^0 as x^65538, and (x, y) * (x, z) gave x^2*y^4."""
