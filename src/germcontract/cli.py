@@ -13,7 +13,11 @@ or parsed; 3 for well-formed input outside what was asked (a germ of order
 >= 1 where a contraction is requested, a series without a characteristic
 pair, keyforms without a series, a singlepair polynomial that is not monic
 of degree p in v or has a negative exponent).  All verdicts come straight
-from the library calls; the frontend only reads and formats.
+from the library calls; the frontend only reads and formats.  Each
+subcommand imports the library modules it calls in its own body, so a
+process compiles only those: classify loads criteria and what it builds on
+(puiseux, poly), dualgraph loads dualgraph, and only analyze and a seeded
+sweep reach the key-form engine.
 """
 
 from __future__ import annotations
@@ -22,37 +26,10 @@ import argparse
 import ast
 import json
 import os
-import random
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
-from .criteria import (
-    Classification,
-    SemigroupReport,
-    is_algebraic,
-    semigroup_conditions,
-    single_pair_closed_form,
-    single_pair_test,
-)
-from .dualgraph import build_dual_graph, export_graph
 from .errors import PreconditionError, SeriesParseError
-from .keyforms import essential_key_forms
-from .puiseux import (
-    CharacteristicData,
-    Orientation,
-    PuiseuxPoly,
-    check_r,
-    check_tangent,
-    degreewise_to_local,
-    format_puiseux,
-    local_pair_data,
-    local_to_degreewise,
-    parse_puiseux,
-    puiseux_pairs,
-)
-from .semidegree import generic_dps_from_curve, parse_poly
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -62,11 +39,14 @@ EXIT_PRECONDITION = 3
 _SPEC_KEYS = ("series", "pairs", "r", "poly", "p", "q")
 
 
-@dataclass
 class CurveSpec:
-    series: PuiseuxPoly | None
-    pairs: CharacteristicData
-    r: int | None
+    """A resolved curve input: the local series (None when given as pairs),
+    its characteristic pairs and r (None when not required)."""
+
+    __slots__ = ("series", "pairs", "r")
+
+    def __init__(self, series, pairs, r):
+        self.series, self.pairs, self.r = series, pairs, r
 
 
 class _BadInput(Exception):
@@ -121,7 +101,9 @@ def _checked(rule, value):
         raise _BadInput(exc) from exc
 
 
-def _parse_pairs_value(value) -> CharacteristicData:
+def _parse_pairs_value(value):
+    from .puiseux import local_pair_data
+
     if isinstance(value, str):
         value = _literal(value, "bad pairs value")
     if (
@@ -136,6 +118,15 @@ def _parse_pairs_value(value) -> CharacteristicData:
 
 
 def resolve_spec(args, need_r: bool = True) -> CurveSpec:
+    from .puiseux import (
+        Orientation,
+        check_r,
+        degreewise_to_local,
+        local_pair_data,
+        parse_puiseux,
+        puiseux_pairs,
+    )
+
     raw = _read_inputs(args)
     if ("series" in raw) == ("pairs" in raw):
         raise _BadInput("give exactly one of series/--series or pairs/--pairs")
@@ -172,7 +163,7 @@ def _poles_doc(vp) -> dict:
     }
 
 
-def _report_doc(rep: SemigroupReport) -> dict:
+def _report_doc(rep) -> dict:
     return {
         "classification": rep.classification.value,
         "s1": list(rep.s1),
@@ -183,7 +174,7 @@ def _report_doc(rep: SemigroupReport) -> dict:
     }
 
 
-def _print_report(rep: SemigroupReport) -> None:
+def _print_report(rep) -> None:
     vp = rep.poles
     print(f"alpha = {vp.alpha}, p^2 = {vp.p ** 2}")
     print("semigroup generators: " + ", ".join(str(w) for w in vp.tilde_omegas))
@@ -201,6 +192,9 @@ def _print_report(rep: SemigroupReport) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .criteria import Classification, is_algebraic, semigroup_conditions
+    from .puiseux import check_tangent, format_puiseux
+
     spec = resolve_spec(args)
     check_tangent(spec.pairs)
     rep = semigroup_conditions(spec.pairs, spec.r)
@@ -242,6 +236,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_keyforms(args) -> int:
+    from .keyforms import essential_key_forms
+    from .puiseux import local_to_degreewise
+    from .semidegree import generic_dps_from_curve
+
     spec = resolve_spec(args)
     if spec.series is None:
         raise PreconditionError(
@@ -275,6 +273,8 @@ def cmd_keyforms(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .criteria import semigroup_conditions
+
     spec = resolve_spec(args)
     rep = semigroup_conditions(spec.pairs, spec.r)
     if args.json:
@@ -285,6 +285,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dualgraph(args) -> int:
+    from .dualgraph import build_dual_graph, export_graph
+
     spec = resolve_spec(args)
     g = build_dual_graph(spec.pairs, spec.r)
     fmt = "json" if args.json and args.format == "dot" else args.format
@@ -293,6 +295,10 @@ def cmd_dualgraph(args) -> int:
 
 
 def cmd_singlepair(args) -> int:
+    from .criteria import single_pair_closed_form, single_pair_test
+    from .puiseux import check_r, local_pair_data
+    from .semidegree import parse_poly
+
     raw = _read_inputs(args)
     missing = [k for k in ("poly", "p", "q", "r") if k not in raw]
     if missing:
@@ -324,7 +330,11 @@ def cmd_singlepair(args) -> int:
     return EXIT_OK
 
 
-def _random_series(pairs: CharacteristicData, rng: random.Random) -> PuiseuxPoly:
+def _random_series(pairs, rng):
+    from fractions import Fraction
+
+    from .puiseux import Orientation, PuiseuxPoly
+
     coeffs = {}
     for e in pairs.char_exponents():
         num = rng.choice([-3, -2, -1, 1, 2, 3])
@@ -334,9 +344,16 @@ def _random_series(pairs: CharacteristicData, rng: random.Random) -> PuiseuxPoly
 
 
 def cmd_sweep(args) -> int:
+    from .criteria import Classification, is_algebraic, semigroup_conditions
+    from .puiseux import check_r
+
     spec = resolve_spec(args, need_r=False)
     _checked(check_r, args.r_max)
-    rng = random.Random(args.seed) if args.seed is not None else None
+    rng = None
+    if args.seed is not None:
+        import random
+
+        rng = random.Random(args.seed)
     rows = []
     for r in range(args.r_max + 1):
         rep = semigroup_conditions(spec.pairs, r)

@@ -9,7 +9,9 @@ key-form engine on an actual curve and reads algebraicity off the last
 essential key form (it is decisive: the contraction has an algebraic
 model iff that form has no negative power of x).  Witness curves
 realizing each predicted behavior are built explicitly so the two sides
-can be cross-checked on concrete inputs.
+can be cross-checked on concrete inputs.  is_algebraic imports the engine
+(keyforms, semidegree) on its first call, so the closed-form side loads
+without it.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .errors import InvariantViolationError, PreconditionError
-from .keyforms import EssentialKeyForms, essential_key_forms, is_polynomial
 from .puiseux import (
     CharacteristicData,
     Orientation,
@@ -32,7 +35,9 @@ from .puiseux import (
     puiseux_pairs,
 )
 from .poly import Poly
-from .semidegree import generic_dps_from_curve
+
+if TYPE_CHECKING:  # is_algebraic imports the engine on its first call
+    from .keyforms import EssentialKeyForms
 
 
 def alpha_invariant(local_pairs, r: int) -> int:
@@ -330,6 +335,16 @@ class AlgebraicityReport:
     wp_weights: tuple[int, ...] | None
 
 
+@cache
+def _engine():
+    """The key-form modules, imported on the first is_algebraic call.  Their
+    functions are read at each call, so a name rebound in its module (a
+    tracer's wrapper) is seen."""
+    from . import keyforms, semidegree
+
+    return keyforms, semidegree
+
+
 def is_algebraic(curve: PuiseuxPoly, r: int, force_keyforms: bool = False) -> AlgebraicityReport:
     """Full pipeline on a local curve germ.
 
@@ -343,6 +358,7 @@ def is_algebraic(curve: PuiseuxPoly, r: int, force_keyforms: bool = False) -> Al
     unless force_keyforms is set (the engine itself does not need
     contractibility).
     """
+    keyforms, semidegree = _engine()
     if not isinstance(curve, PuiseuxPoly):
         raise PreconditionError("curve must be a PuiseuxPoly")
     if curve.orientation is not Orientation.LOCAL:
@@ -351,12 +367,13 @@ def is_algebraic(curve: PuiseuxPoly, r: int, force_keyforms: bool = False) -> Al
     contractible = is_contractible(data, r)
     keys = None
     if contractible or force_keyforms:
-        keys = essential_key_forms(generic_dps_from_curve(local_to_degreewise(curve), r))
+        g = semidegree.generic_dps_from_curve(local_to_degreewise(curve), r)
+        keys = keyforms.essential_key_forms(g)
     if not contractible:
         return AlgebraicityReport(False, None, keys, None, None)
     last = keys.last()
-    algebraic = is_polynomial(last)
-    if algebraic != all(is_polynomial(f) for f in keys.forms):
+    algebraic = keyforms.is_polynomial(last)
+    if algebraic != all(keyforms.is_polynomial(f) for f in keys.forms):
         raise InvariantViolationError(
             "the last key form does not decide for the whole chain",
             forms=[f.format() for f in keys.forms], r=r,

@@ -195,8 +195,15 @@ class Poly:
         (so x^-1 stays a monomial).  The powers of images[1:] are shared
         between the terms, and so is their product among the terms with the
         same exponents of images[1:].  The terms are summed as integer
-        numerators over one common denominator (see _combine).
+        numerators over one common denominator (see _combine).  Any other
+        count of images, or an image over other variables, is refused.
         """
+        ok = len(images) == len(self.names) and len({g.names for g in images}) == 1
+        if not ok or len(images[0]._num) != 1:
+            raise PreconditionError(
+                f"evaluate takes one image per variable of {self.names}, all over "
+                "the variables of images[0], which is a nonzero monomial"
+            )
         names = images[0].names
         ((m, cn),) = images[0]._num.items()
         cd = images[0].den

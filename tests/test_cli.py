@@ -431,3 +431,104 @@ def test_classification_census_script_check():
     proc = _run_pinned([sys.executable, str(SCRIPTS / "classification_census.py"), "--check"])
     assert proc.returncode == 0, proc.stderr
     assert "closed-form check: 0 mismatches" in proc.stdout
+
+
+# --- what a process loads ----------------------------------------------------
+
+LIBRARY = {"criteria", "dualgraph", "errors", "keyforms", "poly", "puiseux", "semidegree"}
+_LOADED = (
+    "\nprint(' '.join(sorted(m.split('.', 1)[1] for m in sys.modules"
+    " if m.startswith('germcontract.'))))"
+)
+
+
+def _loaded_after(code, *args):
+    """The germcontract submodules a fresh interpreter has loaded once it has
+    run code (with sys imported) and args as sys.argv[1:]."""
+    proc = _run_pinned([sys.executable, "-c", "import sys\n" + code + _LOADED, *args])
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_importing_the_package_or_the_cli_loads_no_library_module():
+    """dir() lists every exported name before any is read."""
+    code = (
+        "import germcontract\n"
+        "if not set(germcontract.__all__) <= set(dir(germcontract)): sys.exit(1)"
+    )
+    assert _loaded_after(code) == set()
+    assert _loaded_after("import germcontract.cli") == {"cli", "errors"}
+    assert _loaded_after("import germcontract.__main__") == {"__main__", "cli", "errors"}
+
+
+_SERIES = "u^(1/4) - 3*u^2"
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (["analyze", "--series", _SERIES, "--r", "12", "--json"],
+         "criteria keyforms poly puiseux semidegree"),
+        (["sweep", "--pairs", "[(1,4)]", "--r-max", "6", "--seed", "92", "--json"],
+         "criteria keyforms poly puiseux semidegree"),
+        (["keyforms", "--series", _SERIES, "--r", "12", "--json"],
+         "keyforms poly puiseux semidegree"),
+        (["classify", "--pairs", "[(3,5)]", "--r", "9", "--json"], "criteria poly puiseux"),
+        (["sweep", "--pairs", "[(1,4)]", "--r-max", "6", "--json"], "criteria poly puiseux"),
+        (["singlepair", "--poly", "v^4 - u^1", "--p", "4", "--q", "1", "--r", "9", "--json"],
+         "criteria poly puiseux semidegree"),
+        (["dualgraph", "--pairs", "[(1,4)]", "--r", "0", "--json"], "dualgraph poly puiseux"),
+    ],
+    ids=["analyze", "sweep-seed", "keyforms", "classify", "sweep", "singlepair", "dualgraph"],
+)
+def test_each_subcommand_loads_only_the_modules_it_calls(argv, modules):
+    code = (
+        "import contextlib, io\nfrom germcontract import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.run(sys.argv[1:])\n"
+        "if code: sys.exit(code)"
+    )
+    assert _loaded_after(code, *argv) == {"cli", "errors", *modules.split()}
+
+
+def test_the_first_read_of_any_exported_name_loads_the_whole_library():
+    """What perfbench/spans.py relies on: its tracer rebinds the functions of
+    the modules in sys.modules after the worker has read one name.  One
+    interpreter; the package is dropped from sys.modules before each name."""
+    code = (
+        "import germcontract\n"
+        "for name in germcontract.__all__:\n"
+        "    for m in [m for m in sys.modules if m.startswith('germcontract')]:\n"
+        "        del sys.modules[m]\n"
+        "    import germcontract\n"
+        "    getattr(germcontract, name)\n"
+        "    got = {m for m in sys.modules if m.startswith('germcontract.')}\n"
+        "    if len(got) != 7: sys.exit(f'{name}: {sorted(got)}')"
+    )
+    assert _loaded_after(code) == LIBRARY
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    import importlib
+
+    names = germcontract.__all__
+    assert len(set(names)) == len(names) and names == sorted(names)
+    homes = germcontract._EXPORTS
+    assert set(homes) == LIBRARY
+    for module, exported in homes.items():
+        home = importlib.import_module(f"germcontract.{module}")
+        for name in exported:
+            assert getattr(germcontract, name) is getattr(home, name)
+    star = {}
+    exec("from germcontract import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == names
+    assert set(names) <= set(dir(germcontract))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    assert not hasattr(germcontract, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        germcontract.no_such_name  # noqa: B018
+    from germcontract import puiseux
+
+    assert puiseux.parse_puiseux is germcontract.parse_puiseux

@@ -113,6 +113,22 @@ def test_evaluate_matches_the_oracle(f, dx, e, cm, ys):
     assert _same(f.evaluate([i for i, _ in images]), of.evaluate([o for _, o in images]))
 
 
+def test_evaluate_takes_one_image_per_variable_over_one_set_of_names():
+    """Too few images raised a bare KeyError or IndexError, extra ones were
+    ignored, an image over other variables was read in the key layout of
+    images[0] (y(x, z) came back as y), and an images[0] that is no monomial
+    failed to unpack."""
+    xy = ("x", "y")
+    x, y = Poly.monomial(xy, (1, 0)), Poly.monomial(xy, (0, 1))
+    z = Poly.monomial(("x", "y", "z"), (0, 0, 1))
+    f = Poly(xy, {(0, 1): 1, (1, 0): 2})
+    for g in (f, y):
+        for images in ([x], [], [x, x, x], [x, z], [x + y, x], [Poly(xy), x]):
+            with pytest.raises(PreconditionError, match="one image per variable"):
+                g.evaluate(images)
+    assert f.evaluate([x, y]) == f and f.evaluate((x, x)) == x.scale(3)
+
+
 def test_num_and_terms_are_tuple_keyed_views():
     f = Poly(("x", "y", "z"), {(-3, 2, 1): F(1, 2), (5, 0, 7): 3})
     assert f.num == {(-3, 2, 1): 1, (5, 0, 7): 6} and f.den == 2
