@@ -27,6 +27,7 @@ import ast
 import json
 import os
 import sys
+from dataclasses import dataclass
 from functools import partial
 
 from .errors import PreconditionError, SeriesParseError
@@ -39,14 +40,11 @@ EXIT_PRECONDITION = 3
 _SPEC_KEYS = ("series", "pairs", "r", "poly", "p", "q")
 
 
+@dataclass
 class CurveSpec:
-    """A resolved curve input: the local series (None when given as pairs),
-    its characteristic pairs and r (None when not required)."""
-
-    __slots__ = ("series", "pairs", "r")
-
-    def __init__(self, series, pairs, r):
-        self.series, self.pairs, self.r = series, pairs, r
+    series: PuiseuxPoly | None
+    pairs: CharacteristicData
+    r: int | None
 
 
 class _BadInput(Exception):
@@ -344,16 +342,14 @@ def _random_series(pairs, rng):
 
 
 def cmd_sweep(args) -> int:
+    import random
+
     from .criteria import Classification, is_algebraic, semigroup_conditions
     from .puiseux import check_r
 
     spec = resolve_spec(args, need_r=False)
     _checked(check_r, args.r_max)
-    rng = None
-    if args.seed is not None:
-        import random
-
-        rng = random.Random(args.seed)
+    rng = random.Random(args.seed) if args.seed is not None else None
     rows = []
     for r in range(args.r_max + 1):
         rep = semigroup_conditions(spec.pairs, r)

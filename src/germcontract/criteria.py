@@ -21,7 +21,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .errors import InvariantViolationError, PreconditionError
 from .puiseux import (
@@ -35,9 +34,6 @@ from .puiseux import (
     puiseux_pairs,
 )
 from .poly import Poly
-
-if TYPE_CHECKING:  # is_algebraic imports the engine on its first call
-    from .keyforms import EssentialKeyForms
 
 
 def alpha_invariant(local_pairs, r: int) -> int:
