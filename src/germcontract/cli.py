@@ -17,17 +17,20 @@ from the library calls; the frontend only reads and formats.  Each
 subcommand imports the library modules it calls in its own body, so a
 process compiles only those: classify loads criteria and what it builds on
 (puiseux, poly), dualgraph loads dualgraph, and only analyze and a seeded
-sweep reach the key-form engine.
+sweep reach the key-form engine.  analyze reads and checks its input
+before it imports criteria, so input that exits 2 or 3 loads only puiseux
+and poly.  ast is imported only to read a --pairs value or a spec file,
+and no module a process loads before criteria or keyforms defines a
+dataclass, so dualgraph and the failure paths never import dataclasses.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .errors import PreconditionError, SeriesParseError
@@ -40,11 +43,11 @@ EXIT_PRECONDITION = 3
 _SPEC_KEYS = ("series", "pairs", "r", "poly", "p", "q")
 
 
-@dataclass
-class CurveSpec:
-    series: PuiseuxPoly | None
-    pairs: CharacteristicData
-    r: int | None
+class CurveSpec(namedtuple("CurveSpec", "series pairs r")):
+    """The germ as read: its series (a PuiseuxPoly, None when pairs were
+    given), its CharacteristicData and r (None when not given)."""
+
+    __slots__ = ()
 
 
 class _BadInput(Exception):
@@ -75,6 +78,8 @@ def load_spec_file(path: str) -> dict:
 
 def _literal(text: str, what: str):
     """ast.literal_eval(text); too deep a nesting is bad input as well."""
+    import ast
+
     try:
         return ast.literal_eval(text)
     except (ValueError, TypeError, SyntaxError, RecursionError, MemoryError) as exc:
@@ -190,11 +195,13 @@ def _print_report(rep) -> None:
 
 
 def cmd_analyze(args) -> int:
-    from .criteria import Classification, is_algebraic, semigroup_conditions
     from .puiseux import check_tangent, format_puiseux
 
     spec = resolve_spec(args)
     check_tangent(spec.pairs)
+    # only input that passed both checks loads the decision layer
+    from .criteria import Classification, is_algebraic, semigroup_conditions
+
     rep = semigroup_conditions(spec.pairs, spec.r)
     contractible = rep.classification is not Classification.NOT_CONTRACTIBLE
     doc = _report_doc(rep)
@@ -293,7 +300,7 @@ def cmd_dualgraph(args) -> int:
 
 
 def cmd_singlepair(args) -> int:
-    from .criteria import single_pair_closed_form, single_pair_test
+    from .criteria import alpha_invariant, single_pair_closed_form, single_pair_test
     from .puiseux import check_r, local_pair_data
     from .semidegree import parse_poly
 
@@ -311,7 +318,7 @@ def cmd_singlepair(args) -> int:
     closed = single_pair_closed_form(q, p, r)
     doc = {
         "algebraic": algebraic,
-        "alpha": p * q + r,
+        "alpha": alpha_invariant([(q, p)], r),
         "contractible": closed["contractible"],
         "nonalgebraic_exists": closed["nonalgebraic_exists"],
     }

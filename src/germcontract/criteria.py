@@ -16,6 +16,7 @@ without it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -77,21 +78,17 @@ def _tilde_omegas(data: CharacteristicData) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class VirtualPoles:
+class VirtualPoles(namedtuple("VirtualPoles", "tilde_omegas omegas generic_pole l alpha p")):
     """Closed-form pole data of (pairs, r).
 
     tilde_omegas = (w~_0..w~_lt) generate the semigroup of intersection
     numbers; omegas = (w_0..w_l) are the virtual poles, and generic_pole is
-    w_{l+1}, positive exactly on contractible input.
+    w_{l+1}, positive exactly on contractible input; alpha and p are the
+    alpha invariant and the polydromy.  Every field is an int or a tuple of
+    ints.
     """
 
-    tilde_omegas: tuple[int, ...]
-    omegas: tuple[int, ...]
-    generic_pole: int
-    l: int
-    alpha: int
-    p: int
+    __slots__ = ()
 
     def delta_sequence(self) -> tuple[int, ...]:
         """The omegas divided by their gcd; realized as the pole orders of
@@ -250,12 +247,11 @@ def semigroup_conditions(local_pairs, r: int) -> SemigroupReport:
     return SemigroupReport(tuple(s1), tuple(s2), cls, vp)
 
 
-@dataclass(frozen=True)
-class WitnessCurve:
-    """A local series realizing one branch of the classification."""
+class WitnessCurve(namedtuple("WitnessCurve", "curve predicted_algebraic")):
+    """A local series (PuiseuxPoly) realizing one branch of the
+    classification, and whether its contraction is predicted algebraic."""
 
-    curve: PuiseuxPoly
-    predicted_algebraic: bool
+    __slots__ = ()
 
 
 def witness_curves(local_pairs, r: int, classification=None) -> tuple[WitnessCurve, ...]:

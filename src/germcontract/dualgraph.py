@@ -34,31 +34,29 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import NamedTuple
 
 from .errors import InvariantViolationError, PreconditionError
 from .puiseux import check_r, check_tangent, local_pair_data
 
 
-class DGVertex(NamedTuple):
-    label: str
-    weight: int
-    is_Ltilde: bool = False
+class DGVertex(namedtuple("DGVertex", "label weight is_Ltilde", defaults=(False,))):
+    """A vertex: its label, its self-intersection and whether it is the
+    line's strict transform."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(namedtuple("DualGraph", "vertices edges estar_attachment")):
     """Vertices in order of appearance (the line's strict transform first,
     then E1, E2, ...); edges as index pairs i < j; estar_attachment lists
-    the labels of the removed curve E*'s former neighbors."""
+    the labels of the removed curve E*'s former neighbors.  Each field is a
+    tuple."""
 
-    vertices: tuple[DGVertex, ...]
-    edges: tuple[tuple[int, int], ...]
-    estar_attachment: tuple[str, ...]
+    __slots__ = ()
 
     def index_of(self, label: str) -> int:
         for i, v in enumerate(self.vertices):

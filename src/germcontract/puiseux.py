@@ -24,7 +24,6 @@ when a view (terms, support, coeff, ord, deg) is read.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -228,7 +227,6 @@ def _pair_tuples(pairs) -> tuple:
         raise PreconditionError(f"pairs must be (q, p) tuples, not {pairs!r}") from None
 
 
-@dataclass(frozen=True)
 class CharacteristicData:
     """Characteristic pairs (q_k, p_k) plus the polydromy order p = prod p_k.
 
@@ -237,14 +235,16 @@ class CharacteristicData:
     which orientation the pairs were extracted from; the local-side
     validation lives in local_pair_data.  The running products of the p_k
     and the betas are computed on the first call and kept.
+
+    Immutable; equal and of equal hash when pairs and polydromy are.  Not a
+    tuple, so local_pair_data and the CLI tell it apart from raw pairs.
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    polydromy: int
+    __slots__ = ("pairs", "polydromy", "_cum", "_betas")
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[int, int], ...], polydromy: int):
         acc = 1
-        for q, p in self.pairs:
+        for q, p in pairs:
             if not (_is_int(q) and _is_int(p)):
                 raise PreconditionError(f"pair ({q!r},{p!r}): entries must be integers")
             if p < 2:
@@ -252,23 +252,42 @@ class CharacteristicData:
             if gcd(q, p) != 1:
                 raise PreconditionError(f"pair ({q},{p}) is not coprime")
             acc *= p
-        if acc != self.polydromy:
-            raise PreconditionError(
-                f"polydromy {self.polydromy} != product of the p_k = {acc}"
-            )
+        if acc != polydromy:
+            raise PreconditionError(f"polydromy {polydromy} != product of the p_k = {acc}")
+        _set_pairs(self, pairs)
+        _set_polydromy(self, polydromy)
+        _set_cum(self, None)
+        _set_betas(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CharacteristicData is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CharacteristicData is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs and self.polydromy == other.polydromy
+
+    def __hash__(self) -> int:
+        return hash((self.pairs, self.polydromy))
+
+    def __repr__(self) -> str:
+        return f"CharacteristicData(pairs={self.pairs!r}, polydromy={self.polydromy!r})"
 
     @classmethod
     def from_pairs(cls, pairs) -> "CharacteristicData":
         pairs = _pair_tuples(pairs)
-        # a non-integer p is left out of the product and reported by __post_init__
+        # a non-integer p is left out of the product and reported by __init__
         return cls(pairs, prod(p for _, p in pairs if _is_int(p)))
 
     def cumulative_p(self) -> tuple[int, ...]:
         """(p_1, p_1p_2, ..., p_1..p_k)."""
-        cum = self.__dict__.get("_cum")
+        cum = self._cum
         if cum is None:
             cum = cumulative_products(self.pairs)
-            object.__setattr__(self, "_cum", cum)
+            _set_cum(self, cum)
         return cum
 
     def char_exponents(self) -> tuple[Fraction, ...]:
@@ -280,12 +299,20 @@ class CharacteristicData:
     def betas(self) -> tuple[int, ...]:
         """The scaled characteristic exponents beta_k = q_k * p / (p_1..p_k),
         i.e. the polydromy times char_exponents()."""
-        betas = self.__dict__.get("_betas")
+        betas = self._betas
         if betas is None:
             p = self.polydromy
             betas = tuple(q * (p // cp) for (q, _), cp in zip(self.pairs, self.cumulative_p()))
-            object.__setattr__(self, "_betas", betas)
+            _set_betas(self, betas)
         return betas
+
+
+# The slots' own setters: they pass by the refusing __setattr__ at less than
+# half the cost of object.__setattr__.
+_set_pairs = CharacteristicData.pairs.__set__
+_set_polydromy = CharacteristicData.polydromy.__set__
+_set_cum = CharacteristicData._cum.__set__
+_set_betas = CharacteristicData._betas.__set__
 
 
 def check_r(r) -> None:

@@ -436,18 +436,33 @@ def test_classification_census_script_check():
 # --- what a process loads ----------------------------------------------------
 
 LIBRARY = {"criteria", "dualgraph", "errors", "keyforms", "poly", "puiseux", "semidegree"}
+# printed at exit, so also after a sys.exit in the code under test
 _LOADED = (
-    "\nprint(' '.join(sorted(m.split('.', 1)[1] for m in sys.modules"
-    " if m.startswith('germcontract.'))))"
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(' '.join(sorted(m.split('.', 1)[1] for m in sys.modules"
+    " if m.startswith('germcontract.')))))\n"
+)
+# runs sys.argv[1:] through the frontend and keeps its exit code in code
+_RUN = (
+    "import contextlib, io\nfrom germcontract import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.run(sys.argv[1:])\n"
 )
 
 
-def _loaded_after(code, *args):
+def _loaded_after(code, *args, exit_code=0):
     """The germcontract submodules a fresh interpreter has loaded once it has
-    run code (with sys imported) and args as sys.argv[1:]."""
-    proc = _run_pinned([sys.executable, "-c", "import sys\n" + code + _LOADED, *args])
-    assert proc.returncode == 0, proc.stderr
+    run code (with sys imported) and args as sys.argv[1:] and exited with
+    exit_code."""
+    proc = _run_pinned([sys.executable, "-c", _LOADED + code, *args])
+    assert proc.returncode == exit_code, proc.stderr
     return set(proc.stdout.split())
+
+
+def _absent(*names):
+    """Code that exits 1, naming them, when any of the modules names has
+    been imported."""
+    return f"hit = {set(names)!r} & set(sys.modules)\nif hit: sys.exit(f'imported {{sorted(hit)}}')\n"
 
 
 def test_importing_the_package_or_the_cli_loads_no_library_module():
@@ -459,6 +474,11 @@ def test_importing_the_package_or_the_cli_loads_no_library_module():
     assert _loaded_after(code) == set()
     assert _loaded_after("import germcontract.cli") == {"cli", "errors"}
     assert _loaded_after("import germcontract.__main__") == {"__main__", "cli", "errors"}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_ast():
+    code = "import germcontract.cli\n" + _absent("dataclasses", "ast")
+    assert _loaded_after(code) == {"cli", "errors"}
 
 
 _SERIES = "u^(1/4) - 3*u^2"
@@ -482,13 +502,22 @@ _SERIES = "u^(1/4) - 3*u^2"
     ids=["analyze", "sweep-seed", "keyforms", "classify", "sweep", "singlepair", "dualgraph"],
 )
 def test_each_subcommand_loads_only_the_modules_it_calls(argv, modules):
-    code = (
-        "import contextlib, io\nfrom germcontract import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.run(sys.argv[1:])\n"
-        "if code: sys.exit(code)"
-    )
-    assert _loaded_after(code, *argv) == {"cli", "errors", *modules.split()}
+    assert _loaded_after(_RUN + "sys.exit(code)", *argv) == {"cli", "errors", *modules.split()}
+
+
+def test_dualgraph_never_imports_dataclasses():
+    argv = ["dualgraph", "--pairs", "[(3,5),(23,2)]", "--r", "40", "--json"]
+    code = _RUN + _absent("dataclasses") + "sys.exit(code)"
+    assert _loaded_after(code, *argv) == {"cli", "dualgraph", "errors", "poly", "puiseux"}
+
+
+@pytest.mark.parametrize("series,exit_code", [("u^(3/", 2), ("u^(8/5)", 3)])
+def test_analyze_checks_its_input_before_the_decision_layer_loads(series, exit_code):
+    """A malformed series (exit 2) and a germ of order >= 1 (exit 3) are
+    refused before criteria, and with it dataclasses, is imported."""
+    code = _RUN + _absent("dataclasses") + "sys.exit(code)"
+    argv = ["analyze", "--series", series, "--r", "1", "--json"]
+    assert _loaded_after(code, *argv, exit_code=exit_code) == {"cli", "errors", "poly", "puiseux"}
 
 
 def test_the_first_read_of_any_exported_name_loads_the_whole_library():

@@ -272,11 +272,15 @@ def test_local_q_rule_is_read_before_coprimality():
 
 
 def test_characteristic_data_validation():
-    with pytest.raises(PreconditionError):
-        CharacteristicData.from_pairs([(2, 4)])  # not coprime
-    with pytest.raises(PreconditionError):
-        CharacteristicData.from_pairs([(3, 1)])  # p must be >= 2
-    with pytest.raises(PreconditionError):
+    for pairs, message in [
+        ([(2, 4)], r"pair \(2,4\) is not coprime"),
+        ([(3, 1)], r"pair \(3,1\): p must be >= 2"),
+        ([(0.5, 5)], r"pair \(0\.5,5\): entries must be integers"),
+        ([(True, 2)], r"pair \(True,2\): entries must be integers"),
+    ]:
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            CharacteristicData.from_pairs(pairs)
+    with pytest.raises(PreconditionError, match=r"^polydromy 6 != product of the p_k = 5$"):
         CharacteristicData(((3, 5),), 6)  # stated polydromy is wrong
     data = CharacteristicData.from_pairs([(3, 5), (23, 2)])
     assert data.polydromy == 10
