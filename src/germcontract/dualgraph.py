@@ -16,7 +16,8 @@ resolution of curve plus tangent line), continues with r further blow-ups
 at the moving intersection point, removes the last exceptional curve E*
 and reports what remains.  The graph is a forest, so Grauert's criterion
 (the intersection form is negative definite) is decided by eliminating one
-leaf at a time, in Fractions, with no dense matrix arithmetic.
+leaf at a time, on integer numerator/denominator pairs, with no dense
+matrix arithmetic.
 
 The vertices are numbered in order of appearance while the graph is built,
 and their labels (Ltilde, E1, E2, ...) are made once at the end.  The JSON
@@ -38,6 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_str
+from math import gcd
 
 from .errors import InvariantViolationError, PreconditionError
 from .puiseux import check_r, check_tangent, local_pair_data
@@ -127,12 +129,13 @@ def build_dual_graph(local_pairs, r: int) -> DualGraph:
 
     estar = len(weights) - 1  # the last vertex, so j == estar on its edges
     del weights[estar]
+    # from lists: tuple() of a generator sizes by guess, filling CPython's tuple free lists
     vertices = tuple(
-        DGVertex(f"E{i}" if i else "Ltilde", w, i == 0) for i, w in enumerate(weights)
+        [DGVertex(f"E{i}" if i else "Ltilde", w, i == 0) for i, w in enumerate(weights)]
     )
     edge_list = sorted(edges)
-    attach = tuple(vertices[i].label for i, j in edge_list if j == estar)
-    graph = DualGraph(vertices, tuple(e for e in edge_list if e[1] != estar), attach)
+    attach = tuple([vertices[i].label for i, j in edge_list if j == estar])
+    graph = DualGraph(vertices, tuple([e for e in edge_list if e[1] != estar]), attach)
 
     for v in graph.vertices:
         if v.weight > -1:
@@ -172,28 +175,37 @@ def is_negative_definite(matrix) -> bool:
     negative definite exactly when A is, and whose k-th leading principal
     minor is the product of the first k pivots.  So by Sylvester's
     criterion the answer is False at the first pivot d_v >= 0 and True once
-    every vertex is gone, for any symmetric matrix.  Arithmetic is in
-    Fractions throughout.
+    every vertex is gone, for any symmetric matrix.  Arithmetic is exact on
+    (numerator, denominator) pairs of ints in lowest terms, the denominator
+    positive: an int entry is (x, 1), any other goes through Fraction once.
 
     The graph of an intersection matrix is a forest, which always has a
     vertex of degree <= 1: each step removes a leaf and updates one
     diagonal entry, so past the one O(n^2) read of the dense input the
     elimination costs n heap operations.  Raises PreconditionError when the
-    matrix is not square or not symmetric, or when an entry is neither a
-    zero (an entry equal to 0) nor a finite rational number.
+    matrix or one of its rows has no length, when the matrix is not square
+    or not symmetric, or when an entry is neither a zero (an entry equal to
+    0) nor a finite rational number.
     """
-    n = len(matrix)
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise PreconditionError(
-                f"the matrix must be square: row {i} has {len(row)} entries, not {n}"
-            )
-    diag: list[Fraction] = []
-    adj: list[dict[int, Fraction]] = [{} for _ in range(n)]  # nonzero a_ij, j != i
+    i = None
+    try:
+        n = len(matrix)
+        for i, row in enumerate(matrix):
+            if len(row) != n:
+                raise PreconditionError(
+                    f"the matrix must be square: row {i} has {len(row)} entries, not {n}"
+                )
+    except TypeError:
+        if i is None:
+            raise PreconditionError(f"the matrix must be a sequence, not {matrix!r}") from None
+        raise PreconditionError(f"row {i} of the matrix must be a sequence, not {row!r}") from None
+    diag: list[tuple[int, int]] = []
+    adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]  # nonzero a_ij, j != i
     try:
         for i, row in enumerate(matrix):
             j = i
-            diag.append(Fraction(row[i]))
+            x = row[i]
+            diag.append((x, 1) if type(x) is int else Fraction(x).as_integer_ratio())
             kept = 0
             for j in compress(range(n), row):
                 kept += 1
@@ -204,7 +216,10 @@ def is_negative_definite(matrix) -> bool:
                         f"{row[j]} but entry ({j}, {i}) is {matrix[j][i]}"
                     )
                 if j > i:
-                    adj[i][j] = adj[j][i] = Fraction(row[j])
+                    x = row[j]
+                    adj[i][j] = adj[j][i] = (
+                        (x, 1) if type(x) is int else Fraction(x).as_integer_ratio()
+                    )
             # compress skips every falsy entry: each must be a zero
             if kept + row.count(0) != n:
                 j = next(j for j, v in enumerate(row) if not v and v != 0)
@@ -227,17 +242,17 @@ def is_negative_definite(matrix) -> bool:
         if gone[v] or degree != len(adj[v]):
             continue  # a stale entry: v is pushed again whenever its degree moves
         d = diag[v]
-        if d >= 0:
+        if d[0] >= 0:
             return False
         gone[v] = True
         nbrs = list(adj[v].items())
         for i, _ in nbrs:
             del adj[i][v]
         for k, (i, a_iv) in enumerate(nbrs):
-            diag[i] -= a_iv * a_iv / d
+            diag[i] = _minus_product(diag[i], a_iv, a_iv, d)
             for j, a_jv in nbrs[k + 1 :]:
-                a_ij = adj[i].get(j, 0) - a_iv * a_jv / d
-                if a_ij:
+                a_ij = _minus_product(adj[i].get(j, (0, 1)), a_iv, a_jv, d)
+                if a_ij[0]:
                     adj[i][j] = adj[j][i] = a_ij
                 else:
                     adj[i].pop(j, None)
@@ -245,6 +260,16 @@ def is_negative_definite(matrix) -> bool:
         for i, _ in nbrs:
             heapq.heappush(heap, (len(adj[i]), i))
     return True
+
+
+def _minus_product(c, a, b, d) -> tuple[int, int]:
+    """c - a*b/d in lowest terms, for d < 0: each rational is a (numerator,
+    denominator) pair with the denominator positive."""
+    (cn, cd), (an, ad), (bn, bd), (dn, dd) = c, a, b, d
+    num = an * bn * dd * cd - cn * ad * bd * dn
+    den = -cd * ad * bd * dn
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def export_graph(g: DualGraph, format: str = "dot") -> str:

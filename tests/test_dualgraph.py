@@ -10,6 +10,7 @@ import pytest
 
 from oracles import dual_graph_oracle, graph_json_oracle, negative_definite_oracle
 
+import germcontract.dualgraph as dualgraph
 from germcontract import (
     DGVertex,
     DualGraph,
@@ -201,6 +202,14 @@ def test_negative_definite_basics():
         message = f"entry {where} of the matrix is {what}, not a finite rational number"
         with pytest.raises(PreconditionError, match=re.escape(message)):
             is_negative_definite(matrix)
+    # a matrix or row without a length raised a bare TypeError
+    for matrix, message in (
+        ([5], "row 0 of the matrix must be a sequence, not 5"),
+        ([[-2, 1], 3], "row 1 of the matrix must be a sequence, not 3"),
+        (None, "the matrix must be a sequence, not None"),
+    ):
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            is_negative_definite(matrix)
 
 
 def _seeded_symmetric_matrices(count: int, seed: int):
@@ -270,6 +279,83 @@ def test_negative_definite_takes_fractions_and_floats(scale):
         assert answer == negative_definite_oracle(scaled) == is_negative_definite(m), m
         answers[answer] += 1
     assert min(answers.values()) > 150
+
+
+def test_int_matrices_build_no_fraction(monkeypatch):
+    """All-int matrices are eliminated on int pairs alone: Fraction is
+    only for entries of other types."""
+
+    def no_fraction(value):
+        raise AssertionError(f"Fraction({value!r}) built for an all-int matrix")
+
+    monkeypatch.setattr(dualgraph, "Fraction", no_fraction)
+    cases = [
+        ([(q, p)], r)
+        for p in range(2, 14)
+        for q in range(1, p)
+        if gcd(q, p) == 1
+        for r in (0, 3, 40)
+    ]
+    cases += [(pairs, r + 30) for pairs, r in _seeded_multi_pair_germs(100, 20261019)]
+    matrices = [intersection_matrix(build_dual_graph(pairs, r)) for pairs, r in cases]
+    matrices += _seeded_symmetric_matrices(500, 20261020)  # fill-in on cycles
+    answers = {True: 0, False: 0}
+    for m in matrices:
+        answer = is_negative_definite(m)
+        assert answer == negative_definite_oracle(m), m
+        answers[answer] += 1
+    assert min(answers.values()) > 100
+
+
+def test_negative_definite_mixes_entry_types():
+    """Each entry as an int, bool, Fraction or float of the same value,
+    picked at random: both sides of the symmetry check and the pivots see
+    mixed types.  A scale of 1/2 or 1/4 keeps every float exact."""
+    rng = random.Random(20261023)
+
+    def any_type(x: Fraction):
+        kinds = [x, float(x)]
+        if x.denominator == 1:
+            kinds.append(int(x))
+        if x in (0, 1):
+            kinds.append(bool(x))
+        return rng.choice(kinds)
+
+    answers = {True: 0, False: 0}
+    for m in _seeded_symmetric_matrices(1000, 20261022):
+        scale = rng.choice((1, 2, 4))
+        mixed = [[any_type(Fraction(a, scale)) for a in row] for row in m]
+        answer = is_negative_definite(mixed)
+        assert answer == negative_definite_oracle(mixed) == is_negative_definite(m), mixed
+        answers[answer] += 1
+    assert min(answers.values()) > 150
+
+
+def _tree(weights, edges):
+    """The intersection matrix of a hand-made graph."""
+    vertices = tuple(DGVertex(f"V{i}", w) for i, w in enumerate(weights))
+    return intersection_matrix(DualGraph(vertices, tuple(edges), ()))
+
+
+def test_exact_pivots_at_the_zero_boundary():
+    """A (-1)-vertex, eliminated last, with (-2)-legs: a leg of m vertices
+    adds m/(m+1), so one leg leaves the pivot -1/(m+1) and two legs of
+    length 1 leave exactly 0, which is not negative.  A long (-2)-chain
+    runs its pivots -(k+1)/k down to the end."""
+    two_legs = _tree([-2, -2, -1], [(0, 2), (1, 2)])
+    assert not is_negative_definite(two_legs) and not negative_definite_oracle(two_legs)
+    for m in (1, 10, 2000):
+        one_leg = _tree([-2] * m + [-1], [(k, k + 1) for k in range(m)])
+        assert is_negative_definite(one_leg), m
+        assert m > 10 or negative_definite_oracle(one_leg)
+    assert is_negative_definite(_tree([-2] * 2000, [(k, k + 1) for k in range(1999)]))
+
+
+def test_graph_fields_are_tuples():
+    for pairs in ([(3, 5)], [(1, 4)], TWO_PAIR):
+        for r in (0, 1, 9):
+            g = build_dual_graph(pairs, r)
+            assert [type(field) for field in g] == [tuple] * 3  # vertices, edges, attachment
 
 
 def test_grauert_matches_alpha_criterion():
