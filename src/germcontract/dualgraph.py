@@ -16,8 +16,11 @@ resolution of curve plus tangent line), continues with r further blow-ups
 at the moving intersection point, removes the last exceptional curve E*
 and reports what remains.  The graph is a forest, so Grauert's criterion
 (the intersection form is negative definite) is decided by eliminating one
-leaf at a time, on integer numerator/denominator pairs, with no dense
-matrix arithmetic.
+leaf at a time from a stack, on integer numerator/denominator pairs, with
+no heap.  DualGraph.is_negative_definite() reads the form straight from the
+weights and edges in O(n); is_negative_definite(matrix) runs the same
+elimination on any symmetric matrix, after an O(n^2) read of the dense
+input.
 
 The vertices are numbered in order of appearance while the graph is built,
 and their labels (Ltilde, E1, E2, ...) are made once at the end.  The JSON
@@ -33,9 +36,9 @@ byte for byte (tests/oracles.py).
 
 from __future__ import annotations
 
-import heapq
 import json
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_str
@@ -79,6 +82,27 @@ class DualGraph(namedtuple("DualGraph", "vertices edges estar_attachment")):
         for i, j in self.edges:
             parent[find(i)] = find(j)
         return len({find(i) for i in range(n)})
+
+    def is_negative_definite(self) -> bool:
+        """Grauert's criterion: is the intersection form of the curves
+        negative definite?  The form is read from the weights and edges in
+        O(n), with no intersection matrix, and decided by the elimination of
+        is_negative_definite(intersection_matrix(self)), one leaf at a time
+        on a forest.  Raises PreconditionError on a weight that is not an
+        int and on an edge that is not a pair i < j of vertex indices."""
+        n = len(self.vertices)
+        diag = [(v.weight, 1) for v in self.vertices]
+        if any(type(w) is not int for w, _ in diag):
+            raise PreconditionError("the weights of a dual graph must be ints")
+        adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
+        one = (1, 1)
+        for e in self.edges:
+            pair = type(e) is tuple and tuple(map(type, e)) == (int, int)
+            if not (pair and 0 <= e[0] < e[1] < n):
+                raise PreconditionError(f"edge {e!r} is not a pair i < j of vertex indices")
+            i, j = e
+            adj[i][j] = adj[j][i] = one
+        return _eliminate(diag, adj)
 
 
 def build_dual_graph(local_pairs, r: int) -> DualGraph:
@@ -152,7 +176,11 @@ def build_dual_graph(local_pairs, r: int) -> DualGraph:
 
 
 def intersection_matrix(g: DualGraph) -> list[list[int]]:
-    """Symmetric matrix: weights on the diagonal, 1 for each edge."""
+    """Symmetric matrix: weights on the diagonal, 1 for each edge.
+
+    The list takes n^2 entries, about 3 GB at 20,000 vertices: for
+    Grauert's criterion on a large graph call g.is_negative_definite(),
+    which needs no matrix."""
     n = len(g.vertices)
     m = [[0] * n for _ in range(n)]
     for i, v in enumerate(g.vertices):
@@ -166,39 +194,29 @@ def is_negative_definite(matrix) -> bool:
     """Exact test that the symmetric matrix (a list of rows of integers,
     Fractions or floats) is negative definite; the empty matrix is.
 
-    Symmetric Gaussian elimination that always pivots on a vertex of least
-    remaining degree in the graph of the nonzero off-diagonal entries: the
-    pivot d_v is removed and a_iv*a_vj/d_v is subtracted from each entry
-    a_ij between two of its neighbours, which may create new entries
-    (fill-in) or cancel old ones.  Eliminating in some order is eliminating
-    P^T A P in its natural order for a permutation matrix P, which is
-    negative definite exactly when A is, and whose k-th leading principal
-    minor is the product of the first k pivots.  So by Sylvester's
-    criterion the answer is False at the first pivot d_v >= 0 and True once
-    every vertex is gone, for any symmetric matrix.  Arithmetic is exact on
-    (numerator, denominator) pairs of ints in lowest terms, the denominator
-    positive: an int entry is (x, 1), any other goes through Fraction once.
-
-    The graph of an intersection matrix is a forest, which always has a
-    vertex of degree <= 1: each step removes a leaf and updates one
-    diagonal entry, so past the one O(n^2) read of the dense input the
-    elimination costs n heap operations.  Raises PreconditionError when the
-    matrix or one of its rows has no length, when the matrix is not square
-    or not symmetric, or when an entry is neither a zero (an entry equal to
-    0) nor a finite rational number.
+    Reads the dense matrix, then decides it by the elimination of
+    _eliminate, which is exact for any symmetric matrix;
+    DualGraph.is_negative_definite() runs the same elimination on a dual
+    graph, read straight from its weights and edges.  Each entry becomes
+    an exact (numerator, denominator) pair of ints in lowest terms, the
+    denominator positive: an int entry is (x, 1), any other goes through
+    Fraction once.  Past the one O(n^2) read, the graph of an
+    intersection matrix is a forest and each step removes one leaf, so the
+    elimination costs O(n).  Raises PreconditionError when the matrix or
+    one of its rows is not a sequence, when the matrix is not square or not
+    symmetric, or when an entry is neither a zero (an entry equal to 0) nor
+    a finite rational number.
     """
-    i = None
-    try:
-        n = len(matrix)
-        for i, row in enumerate(matrix):
-            if len(row) != n:
-                raise PreconditionError(
-                    f"the matrix must be square: row {i} has {len(row)} entries, not {n}"
-                )
-    except TypeError:
-        if i is None:
-            raise PreconditionError(f"the matrix must be a sequence, not {matrix!r}") from None
-        raise PreconditionError(f"row {i} of the matrix must be a sequence, not {row!r}") from None
+    if not isinstance(matrix, Sequence):
+        raise PreconditionError(f"the matrix must be a sequence, not {matrix!r}")
+    n = len(matrix)
+    for i, row in enumerate(matrix):
+        if type(row) is not list and not isinstance(row, Sequence):  # a list costs no ABC check
+            raise PreconditionError(f"row {i} of the matrix must be a sequence, not {row!r}")
+        if len(row) != n:
+            raise PreconditionError(
+                f"the matrix must be square: row {i} has {len(row)} entries, not {n}"
+            )
     diag: list[tuple[int, int]] = []
     adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]  # nonzero a_ij, j != i
     try:
@@ -233,33 +251,78 @@ def is_negative_definite(matrix) -> bool:
         raise PreconditionError(
             f"entry ({i}, {j}) of the matrix is {matrix[i][j]!r}, not a finite rational number"
         ) from None
+    return _eliminate(diag, adj)
 
-    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
-    heapq.heapify(heap)
-    gone = [False] * n
-    while heap:
-        degree, v = heapq.heappop(heap)
-        if gone[v] or degree != len(adj[v]):
-            continue  # a stale entry: v is pushed again whenever its degree moves
-        d = diag[v]
-        if d[0] >= 0:
+
+def _eliminate(diag, adj) -> bool:
+    """Is the symmetric matrix with diagonal entries diag[v] and nonzero
+    off-diagonal entries adj[v][i] = adj[i][v] negative definite?  Every
+    entry is a (numerator, denominator) pair of ints in lowest terms with
+    the denominator positive; diag and adj are used up.
+
+    Symmetric Gaussian elimination in an order chosen as it goes: removing
+    the pivot d_v subtracts a_iv*a_vj/d_v from each entry a_ij between two
+    of its neighbours.  Eliminating in some order is eliminating P^T A P in
+    its natural order for a permutation matrix P, which is negative
+    definite exactly when A is, and whose k-th leading principal minor is
+    the product of the first k pivots.  So by Sylvester's criterion the
+    answer is False at the first pivot d_v >= 0 and True once every vertex
+    is gone, for any order and any symmetric matrix.
+
+    The order takes a vertex of degree <= 1 from a stack of leaves while
+    there is one.  A leaf's removal changes only d_i of its one neighbour
+    i, to d_i - a_iv^2/d_v, in a few integer products and one gcd.  The
+    graph of an intersection matrix is a forest, which never runs out of
+    leaves, so its elimination is n such steps.  Only when every vertex
+    left has degree >= 2, which takes a cycle, is a vertex of least degree
+    eliminated in full: each entry between two of its neighbours is
+    updated, which may create new entries (fill-in) or cancel old ones.
+    """
+    n = len(diag)
+    gone = bytearray(n)
+    leaves = [v for v in range(n) if len(adj[v]) <= 1]
+    while True:
+        if leaves:
+            v = leaves.pop()
+            if gone[v] or len(adj[v]) > 1:
+                continue  # a stale entry: v is pushed again whenever its degree drops to <= 1
+        elif 0 in gone:
+            v = min((u for u in range(n) if not gone[u]), key=lambda u: len(adj[u]))
+        else:
+            return True
+        dn, dd = d = diag[v]
+        if dn >= 0:
             return False
-        gone[v] = True
-        nbrs = list(adj[v].items())
-        for i, _ in nbrs:
-            del adj[i][v]
-        for k, (i, a_iv) in enumerate(nbrs):
-            diag[i] = _minus_product(diag[i], a_iv, a_iv, d)
-            for j, a_jv in nbrs[k + 1 :]:
-                a_ij = _minus_product(adj[i].get(j, (0, 1)), a_iv, a_jv, d)
-                if a_ij[0]:
-                    adj[i][j] = adj[j][i] = a_ij
-                else:
-                    adj[i].pop(j, None)
-                    adj[j].pop(i, None)
-        for i, _ in nbrs:
-            heapq.heappush(heap, (len(adj[i]), i))
-    return True
+        gone[v] = 1
+        nbrs = adj[v]
+        if len(nbrs) == 1:
+            i, (an, ad) = nbrs.popitem()
+            rest = adj[i]
+            del rest[v]
+            cn, cd = diag[i]
+            an *= an
+            ad *= ad
+            # d_i - a^2/d_v over the denominator -cd*ad^2*dn, positive as dn < 0
+            num = an * dd * cd - cn * ad * dn
+            den = -cd * ad * dn
+            g = gcd(num, den)
+            diag[i] = (num // g, den // g)
+            if len(rest) <= 1:
+                leaves.append(i)
+        elif nbrs:
+            nbrs = list(nbrs.items())
+            for i, _ in nbrs:
+                del adj[i][v]
+            for k, (i, a_iv) in enumerate(nbrs):
+                diag[i] = _minus_product(diag[i], a_iv, a_iv, d)
+                for j, a_jv in nbrs[k + 1 :]:
+                    a_ij = _minus_product(adj[i].get(j, (0, 1)), a_iv, a_jv, d)
+                    if a_ij[0]:
+                        adj[i][j] = adj[j][i] = a_ij
+                    else:
+                        adj[i].pop(j, None)
+                        adj[j].pop(i, None)
+            leaves += [i for i, _ in nbrs if len(adj[i]) <= 1]
 
 
 def _minus_product(c, a, b, d) -> tuple[int, int]:

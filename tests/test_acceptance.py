@@ -194,9 +194,9 @@ def test_acceptance_5_dual_graph_ground_truth(capsys):
 
         for q, p, r in single_pair_grid():
             g = build_dual_graph([(q, p)], r)
-            assert is_negative_definite(intersection_matrix(g)) == is_contractible(
-                [(q, p)], r
-            )
+            definite = is_contractible([(q, p)], r)
+            assert is_negative_definite(intersection_matrix(g)) == definite
+            assert g.is_negative_definite() == definite
 
     _criterion(capsys, "5 dual-graph-ground-truth", body)
 

@@ -202,11 +202,17 @@ def test_negative_definite_basics():
         message = f"entry {where} of the matrix is {what}, not a finite rational number"
         with pytest.raises(PreconditionError, match=re.escape(message)):
             is_negative_definite(matrix)
-    # a matrix or row without a length raised a bare TypeError
+    # a matrix or row without a length raised a bare TypeError; a row with
+    # a length but no indexing (a set) raised one too, and a dict row an
+    # AttributeError
     for matrix, message in (
         ([5], "row 0 of the matrix must be a sequence, not 5"),
         ([[-2, 1], 3], "row 1 of the matrix must be a sequence, not 3"),
         (None, "the matrix must be a sequence, not None"),
+        ([{-1}], "row 0 of the matrix must be a sequence, not {-1}"),
+        ([{0: -1}], "row 0 of the matrix must be a sequence, not {0: -1}"),
+        ([[-2, 1], {0: 1, 1: -2}], "row 1 of the matrix must be a sequence, not {0: 1, 1: -2}"),
+        ({(-1,)}, "the matrix must be a sequence, not {(-1,)}"),
     ):
         with pytest.raises(PreconditionError, match=re.escape(message)):
             is_negative_definite(matrix)
@@ -331,10 +337,17 @@ def test_negative_definite_mixes_entry_types():
     assert min(answers.values()) > 150
 
 
-def _tree(weights, edges):
-    """The intersection matrix of a hand-made graph."""
+def _graph(weights, edges) -> DualGraph:
+    """A hand-made graph."""
     vertices = tuple(DGVertex(f"V{i}", w) for i, w in enumerate(weights))
-    return intersection_matrix(DualGraph(vertices, tuple(edges), ()))
+    return DualGraph(vertices, tuple(edges), ())
+
+
+def _both_routes(g: DualGraph) -> bool:
+    """The graph entry's answer, checked against the dense one."""
+    answer = g.is_negative_definite()
+    assert is_negative_definite(intersection_matrix(g)) == answer, g
+    return answer
 
 
 def test_exact_pivots_at_the_zero_boundary():
@@ -342,13 +355,105 @@ def test_exact_pivots_at_the_zero_boundary():
     adds m/(m+1), so one leg leaves the pivot -1/(m+1) and two legs of
     length 1 leave exactly 0, which is not negative.  A long (-2)-chain
     runs its pivots -(k+1)/k down to the end."""
-    two_legs = _tree([-2, -2, -1], [(0, 2), (1, 2)])
-    assert not is_negative_definite(two_legs) and not negative_definite_oracle(two_legs)
+    two_legs = _graph([-2, -2, -1], [(0, 2), (1, 2)])
+    assert not _both_routes(two_legs)
+    assert not negative_definite_oracle(intersection_matrix(two_legs))
     for m in (1, 10, 2000):
-        one_leg = _tree([-2] * m + [-1], [(k, k + 1) for k in range(m)])
-        assert is_negative_definite(one_leg), m
-        assert m > 10 or negative_definite_oracle(one_leg)
-    assert is_negative_definite(_tree([-2] * 2000, [(k, k + 1) for k in range(1999)]))
+        one_leg = _graph([-2] * m + [-1], [(k, k + 1) for k in range(m)])
+        assert _both_routes(one_leg), m
+        assert m > 10 or negative_definite_oracle(intersection_matrix(one_leg))
+    assert _both_routes(_graph([-2] * 2000, [(k, k + 1) for k in range(1999)]))
+
+
+def _seeded_cyclic_graphs(count: int, seed: int):
+    """Graphs with n <= 9 vertices, weights -4..-1 and each edge drawn with
+    probability 1/2, so that most have cycles and their elimination runs
+    out of leaves and fills in."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 9)
+        weights = [rng.randint(-4, -1) for _ in range(n)]
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        yield _graph(weights, edges)
+
+
+def test_graph_entry_matches_the_matrix_route_and_the_oracle():
+    """DualGraph.is_negative_definite() against the dense front end and the
+    leading-principal-minor oracle: dual graphs of single pairs and of 2-3
+    pair germs, whose elimination removes only leaves, and graphs with
+    cycles, where the leaf stack empties and a vertex is eliminated in full.
+    The full elimination is the only caller of _minus_product, counted to
+    tell the two apart."""
+    single = [
+        ([(q, p)], r)
+        for p in range(2, 14)
+        for q in range(1, p)
+        if gcd(q, p) == 1
+        for r in (0, 3, 40)
+    ]
+    multi = [
+        (pairs, r + extra)
+        for pairs, r in _seeded_multi_pair_germs(100, 20261024)
+        for extra in (0, 30)
+    ]
+    forests = [build_dual_graph(pairs, r) for pairs, r in single + multi]
+    four_cycle = _graph([-3] * 4, [(0, 1), (1, 2), (2, 3), (0, 3)])  # eigenvalues -1, -3, -3, -5
+    three_cycle = _graph([-2] * 3, [(0, 1), (1, 2), (0, 2)])  # -3I + J, eigenvalues 0, -3, -3
+    cyclic = [four_cycle, three_cycle] + list(_seeded_cyclic_graphs(1500, 20261025))
+    assert len(single) == 171
+
+    full_steps = 0
+    real = dualgraph._minus_product
+
+    def counted(*args):
+        nonlocal full_steps
+        full_steps += 1
+        return real(*args)
+
+    answers = {True: 0, False: 0}
+    filled = 0
+    for g, forest in [(g, True) for g in forests] + [(g, False) for g in cyclic]:
+        full_steps = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dualgraph, "_minus_product", counted)
+            answer = g.is_negative_definite()
+            steps = full_steps
+            assert is_negative_definite(intersection_matrix(g)) == answer, g
+        assert negative_definite_oracle(intersection_matrix(g)) == answer, g
+        assert steps == 0 or not forest, g
+        filled += steps > 0
+        answers[answer] += 1
+    assert four_cycle.is_negative_definite() and not three_cycle.is_negative_definite()
+    assert min(answers.values()) > 300
+    assert filled > 500
+
+
+def test_graph_entry_builds_no_matrix(monkeypatch):
+    """The graph entry reads the weights and edges, never a dense matrix."""
+
+    def no_matrix(g):
+        raise AssertionError("intersection_matrix called")
+
+    monkeypatch.setattr(dualgraph, "intersection_matrix", no_matrix)
+    assert build_dual_graph([(1, 4)], 11).is_negative_definite()
+    assert not build_dual_graph([(1, 4)], 12).is_negative_definite()
+    assert not build_dual_graph(TWO_PAIR, 6).is_negative_definite()
+
+
+def test_graph_entry_refuses_a_malformed_graph():
+    for g, message in (
+        (_graph([-2, 0.5], [(0, 1)]), "the weights of a dual graph must be ints"),
+        (_graph([-2, True], [(0, 1)]), "the weights of a dual graph must be ints"),
+        (_graph([-2, -2], [(1, 0)]), "edge (1, 0) is not a pair i < j of vertex indices"),
+        (_graph([-2, -2], [(1, 1)]), "edge (1, 1) is not a pair i < j of vertex indices"),
+        (_graph([-2, -2], [(-1, 1)]), "edge (-1, 1) is not a pair i < j of vertex indices"),
+        (_graph([-2, -2], [(0, 2)]), "edge (0, 2) is not a pair i < j of vertex indices"),
+        (_graph([-2, -2], [(0, 1, 1)]), "edge (0, 1, 1) is not a pair i < j of vertex indices"),
+        (_graph([-2, -2], [[0, 1]]), "edge [0, 1] is not a pair i < j of vertex indices"),
+        (_graph([-2, -2], [(0, 1.0)]), "edge (0, 1.0) is not a pair i < j of vertex indices"),
+    ):
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            g.is_negative_definite()
 
 
 def test_graph_fields_are_tuples():
@@ -365,14 +470,12 @@ def test_grauert_matches_alpha_criterion():
                 continue
             for r in range(0, p * (p - q) + 1):
                 g = build_dual_graph([(q, p)], r)
-                definite = is_negative_definite(intersection_matrix(g))
-                assert definite == is_contractible([(q, p)], r)
+                assert _both_routes(g) == is_contractible([(q, p)], r)
 
 
 def test_grauert_two_pair():
-    g = build_dual_graph(TWO_PAIR, 1)
-    assert is_negative_definite(intersection_matrix(g))
-    assert not is_negative_definite(intersection_matrix(build_dual_graph(TWO_PAIR, 6)))
+    assert _both_routes(build_dual_graph(TWO_PAIR, 1))
+    assert not _both_routes(build_dual_graph(TWO_PAIR, 6))
     assert not is_contractible(TWO_PAIR, 6)
 
 
