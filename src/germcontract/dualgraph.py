@@ -389,7 +389,7 @@ def parse_graph_json(text: str) -> DualGraph:
     """Inverse of export_graph(..., 'json').  Text that export_graph could
     not have written raises PreconditionError: text that is not JSON, a key
     missing or extra, a value of another JSON type, or an edge that is not
-    a pair i < j of vertex indices."""
+    a pair i < j of vertex indices or is listed twice."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -403,11 +403,15 @@ def parse_graph_json(text: str) -> DualGraph:
     for e in doc["edges"]:
         if type(e) is not list or list(map(type, e)) != [int, int] or not 0 <= e[0] < e[1] < n:
             raise PreconditionError(f"edge {e!r} is not a pair i < j of vertex indices")
+    edges = sorted(map(tuple, doc["edges"]))
+    for e, f in zip(edges, edges[1:]):
+        if e == f:
+            raise PreconditionError(f"edge {list(e)} is listed twice")
     if any(type(label) is not str for label in doc["estar_attachment"]):
         raise PreconditionError("estar_attachment is not a list of labels")
     return DualGraph(
         tuple(DGVertex(v["label"], v["weight"], v["is_Ltilde"]) for v in doc["vertices"]),
-        tuple(sorted(map(tuple, doc["edges"]))),
+        tuple(edges),
         tuple(doc["estar_attachment"]),
     )
 

@@ -22,16 +22,17 @@ Coefficients are stored as FLINT's fmpq_poly stores them: nonzero integer
 numerators over one common denominator den > 0, with no factor common to
 den and every numerator.  Every operation runs on these ints and divides
 its result by their gcd once (_canonical); products of terms are summed in
-one kernel (_combine), which mul and evaluate share.  A Fraction is
-built only when terms or coeff is read.  evaluate serves substitute and the
-tests; the key-form engine forms each key form from its absorption steps
-(see keyforms) and never evaluates a lift.
+mul's kernel (_combine).  A Fraction is built only when terms or coeff is
+read.  evaluate runs Horner's rule, so each of its products is one by an
+image, through mul; it serves substitute and the tests, and the key-form
+engine forms each key form from its absorption steps (see keyforms) and
+never evaluates a lift.
 
 Only mul takes a floor, below which it forms no term.  One routine raises
 every power (_power), as the product of the powers m//2 and m - m//2 kept
 in a table, and one forms every product f_1^b_1 ... f_k^b_k (_product).
-Both take the product to use: mul for power, evaluate and the key forms,
-the window product of keyforms, where the window rule lives alone, for the
+Both take the product to use: mul for power and the key forms, the window
+product of keyforms, where the window rule lives alone, for the
 absorption.  The engine changes a series in place through three primitives
 here (_x_offset, _top_term, _subtract_into), which + and - run on too, so
 that no other module knows the key layout.
@@ -175,9 +176,7 @@ class Poly:
         the products of terms that fall below it are never formed.  The
         numerators are multiplied and summed as ints (see _combine)."""
         _same_names(self, other)
-        rhs = sorted(other._num.items(), reverse=True)
-        rows = ((k, n, rhs) for k, n in self._num.items())
-        return _combine(self.names, rows, self.den * other.den, floor)
+        return _combine(self.names, self._num, other._num, self.den * other.den, floor)
 
     def power(self, n: int) -> "Poly":
         """self**n, as products of halves (see _power)."""
@@ -189,14 +188,15 @@ class Poly:
 
     def evaluate(self, images) -> "Poly":
         """self(images[0], images[1], ..., images[n-1]) in the ring of the
-        images.
+        images, by Horner's rule from the last variable down to x.
 
-        images[0] is a monomial c*m; x^a maps to c^a*m^a, also for negative a
-        (so x^-1 stays a monomial).  The powers of images[1:] are shared
-        between the terms, and so is their product among the terms with the
-        same exponents of images[1:].  The terms are summed as integer
-        numerators over one common denominator (see _combine).  Any other
-        count of images, or an image over other variables, is refused.
+        Over each later variable j the terms are grouped by their exponent
+        of j; from the top exponent down to 0 the sum so far is multiplied
+        by images[j] and the group, evaluated over the variables before j,
+        is added, so every product is one by an image.  images[0] is a
+        monomial c*m; x^a maps to c^a*m^a, also for negative a (so x^-1
+        stays a monomial).  Any other count of images, or an image over
+        other variables, is refused.
         """
         ok = len(images) == len(self.names) and len({g.names for g in images}) == 1
         if not ok or len(images[0]._num) != 1:
@@ -207,39 +207,35 @@ class Poly:
         names = images[0].names
         ((m, cn),) = images[0]._num.items()
         cd = images[0].den
-        # x^a maps to the key a*m, packed afresh (and checked) when m has a
-        # later exponent that a*m could carry or make negative
         mt = _unpack(m, len(names))
-        plain = not any(mt[1:])
-        n_vars = len(self.names)
-        shift = _W * (n_vars - 1)
-        later = (1 << shift) - 1
-        # numerators and denominator of the product of powers per packed
-        # exponents of images[1:], from one power table
-        powers = {(j, 1): image for j, image in enumerate(images[1:], 1)}
-        one = Poly._make(names, {0: 1}, 1)
-        prods: dict[int, tuple[list, int]] = {}
-        parts = []
-        d = 1
-        for key, v in self._num.items():
-            ys = key & later
-            if ys not in prods:
-                prod = _product(powers, _unpack(ys, n_vars)[1:], Poly.mul, one)
-                prods[ys] = (list(prod._num.items()), prod.den)
-            q, dq = prods[ys]
-            # v * c^a over dq, c = cn/cd, with a positive denominator
-            a = key >> shift
-            if a >= 0:
-                n, dn = v * cn**a, cd**a * dq
-            else:
-                n, dn = v * cd**-a, cn**-a * dq
-                if dn < 0:
-                    n, dn = -n, -dn
-            d = lcm(d, dn)
-            s = a * m if plain else _pack(tuple(a * e for e in mt), names)
-            parts.append((s, n, dn, q))
-        rows = ((s, n * (d // dn), q) for s, n, dn, q in parts)
-        return _combine(names, rows, self.den * d)
+
+        def at_x(num: dict) -> Poly:
+            # the sum of v * c^a * m^a / self.den over num (a -> v), over one
+            # denominator; a*m is packed afresh, so a negative later exponent is refused
+            top, low = max([0, *num]), -min([0, *num])
+            d = self.den * cd**top * cn**low
+            sign = 1 if d > 0 else -1
+            out: dict[int, int] = {}
+            for a, v in num.items():
+                s = _pack(tuple(a * e for e in mt), names)
+                out[s] = out.get(s, 0) + sign * v * cn ** (a + low) * cd ** (top - a)
+            return _canonical(names, {k: v for k, v in out.items() if v}, sign * d)
+
+        def horner(num: dict, j: int) -> Poly:
+            # num keyed by the exponents of x .. variable j, j in the lowest field
+            if not j:
+                return at_x(num)
+            groups: dict[int, dict] = {}
+            for k, v in num.items():
+                groups.setdefault(k & _MASK, {})[k >> _W] = v
+            acc = Poly._make(names, {}, 1)
+            for e in range(max(groups, default=-1), -1, -1):
+                acc = acc.mul(images[j])
+                if e in groups:
+                    acc += horner(groups[e], j - 1)
+            return acc
+
+        return horner(self._num, len(self.names) - 1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -358,22 +354,21 @@ def _canonical(names: tuple, num: dict, den: int) -> Poly:
     return Poly._make(names, num, den)
 
 
-def _combine(names: tuple, rows, d: int, floor=-inf) -> Poly:
-    """The terms at or above floor of the sum of n * x^s * q / d over the
-    rows (s, n, q): s a key, n an int and q a list of (key, int) pairs,
-    sorted by key, largest first, when floor is finite.  The sums are ints,
-    reduced once by their gcd with d.  The integer kernel of mul and
-    evaluate, and the one place where exponents add: a later exponent that
-    reaches 2^15 is refused here, before a further product could carry it
-    into the field above."""
+def _combine(names: tuple, left: dict, right: dict, d: int, floor=-inf) -> Poly:
+    """The terms at or above floor of left * right / d, for numerator dicts
+    left and right over names.  The sums are ints, reduced once by their
+    gcd with d.  The integer kernel of mul, and the one place where
+    exponents add: a later exponent that reaches 2^15 is refused here,
+    before a further product could carry it into the field above."""
     shift = _W * (len(names) - 1)
     if floor > -inf:  # the smallest key of first exponent at least floor
         floor = ceil(floor) << shift
+    rhs = sorted(right.items(), reverse=True)  # each row stops below floor
     out: dict[int, int] = {}
     get = out.get
-    for s, n, q in rows:
+    for s, n in left.items():
         low = floor - s
-        for k, v in q:
+        for k, v in rhs:
             if k < low:
                 break
             k += s

@@ -589,6 +589,7 @@ MALFORMED_GRAPHS = {
     "edge-reversed": _graph_doc([V, V], [[1, 0]]),
     "float-edge-index": _graph_doc([V, V], [[0, 1.0]]),
     "one-ended-edge": _graph_doc([V, V], [[0]]),
+    "repeated-edge": _graph_doc([V, V], [[0, 1], [0, 1]]),
     "null-attachment": _graph_doc(attachment=[None]),
 }
 

@@ -709,6 +709,17 @@ def test_multi_pair_anchors(series, omegas):
     assert rep.algebraic is True
 
 
+def test_four_pair_forms_substitute_to_their_poles():
+    """Every essential form of the 4-pair germ at r = 3, substituted whole,
+    has the semidegree the engine records, and those are the virtual poles
+    and the generic pole: polydromy 56, beyond the property suites' 24."""
+    g = _germ(FOUR_PAIR, 3)
+    keys = essential_key_forms(g)
+    vp = virtual_poles(puiseux_pairs(parse_puiseux(FOUR_PAIR)).pairs, 3)
+    assert tuple(semidegree_eval(f, g) for f in keys.forms) == keys.omegas
+    assert keys.omegas == vp.omegas + (vp.generic_pole,)
+
+
 def _prefix_chain(keys):
     """The full chain by its definition: each form a partial sum of its
     lift, leading power first and then by decreasing weight, evaluated
