@@ -89,7 +89,8 @@ class DualGraph(namedtuple("DualGraph", "vertices edges estar_attachment")):
         O(n), with no intersection matrix, and decided by the elimination of
         is_negative_definite(intersection_matrix(self)), one leaf at a time
         on a forest.  Raises PreconditionError on a weight that is not an
-        int and on an edge that is not a pair i < j of vertex indices."""
+        int, on an edge that is not a pair i < j of vertex indices and on
+        an edge listed twice."""
         n = len(self.vertices)
         diag = [(v.weight, 1) for v in self.vertices]
         if any(type(w) is not int for w, _ in diag):
@@ -101,6 +102,8 @@ class DualGraph(namedtuple("DualGraph", "vertices edges estar_attachment")):
             if not (pair and 0 <= e[0] < e[1] < n):
                 raise PreconditionError(f"edge {e!r} is not a pair i < j of vertex indices")
             i, j = e
+            if j in adj[i]:
+                raise PreconditionError(f"edge {e!r} is listed twice")
             adj[i][j] = adj[j][i] = one
         return _eliminate(diag, adj)
 

@@ -26,9 +26,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm, prod
-from operator import mul
 from types import MappingProxyType
 
 from .errors import InvariantViolationError, PreconditionError, SeriesParseError
@@ -60,9 +58,8 @@ class PuiseuxPoly:
     Immutable after construction; zero coefficients are dropped, duplicate
     exponents rejected.  Supports either orientation; all exponent-order
     conventions (significance, ord/deg) follow the orientation.  The
-    characteristic pairs are walked once, by the first puiseux_pairs call,
-    and kept in _pairs; the private _above (for the generic series) and
-    local_to_degreewise set them without a walk when they are known.
+    characteristic pairs are walked when the series is made and kept in
+    _pairs (None for the zero series, which has none).
     """
 
     __slots__ = ("orientation", "_num", "_den", "_cden", "_pairs")
@@ -131,18 +128,12 @@ class PuiseuxPoly:
         """Sub-sum of terms with exponent strictly greater than threshold."""
         return self._above(*_ratio(threshold))
 
-    def _above(self, a: int, b: int, pairs=None) -> "PuiseuxPoly":
-        """keep_above(a/b) for ints a and b > 0.  A caller that knows the
-        characteristic pairs of the result passes them as pairs
-        (CharacteristicData, not checked) to spare the walk; they are
-        dropped when the result is zero, which has none."""
+    def _above(self, a: int, b: int) -> "PuiseuxPoly":
+        """keep_above(a/b) for ints a and b > 0."""
         d = self._den
-        out = _canonical(
+        return _canonical(
             self.orientation, {n: c for n, c in self._num.items() if n * b > a * d}, d, self._cden
         )
-        if out._num:
-            object.__setattr__(out, "_pairs", pairs)
-        return out
 
     def with_term(self, e, c) -> "PuiseuxPoly":
         """Copy with one extra term (the exponent must be fresh)."""
@@ -179,7 +170,7 @@ def _set(phi: PuiseuxPoly, orientation: Orientation, num: dict, den: int, cden: 
     object.__setattr__(phi, "_num", num)
     object.__setattr__(phi, "_den", den)
     object.__setattr__(phi, "_cden", cden)
-    object.__setattr__(phi, "_pairs", None)
+    object.__setattr__(phi, "_pairs", _walk_pairs(phi) if num else None)
 
 
 def _store(orientation: Orientation, terms: dict) -> tuple[dict, int, int]:
@@ -234,7 +225,7 @@ class CharacteristicData:
     gcd(q_k, p_k) = 1.  The sign/monotonicity pattern of the q_k depends on
     which orientation the pairs were extracted from; the local-side
     validation lives in local_pair_data.  The running products of the p_k
-    and the betas are computed on the first call and kept.
+    and the betas are formed by the validation and kept.
 
     Immutable; equal and of equal hash when pairs and polydromy are.  Not a
     tuple, so local_pair_data and the CLI tell it apart from raw pairs.
@@ -243,6 +234,7 @@ class CharacteristicData:
     __slots__ = ("pairs", "polydromy", "_cum", "_betas")
 
     def __init__(self, pairs: tuple[tuple[int, int], ...], polydromy: int):
+        cum = []
         acc = 1
         for q, p in pairs:
             if not (_is_int(q) and _is_int(p)):
@@ -252,12 +244,13 @@ class CharacteristicData:
             if gcd(q, p) != 1:
                 raise PreconditionError(f"pair ({q},{p}) is not coprime")
             acc *= p
+            cum.append(acc)
         if acc != polydromy:
             raise PreconditionError(f"polydromy {polydromy} != product of the p_k = {acc}")
         _set_pairs(self, pairs)
         _set_polydromy(self, polydromy)
-        _set_cum(self, None)
-        _set_betas(self, None)
+        _set_cum(self, tuple(cum))
+        _set_betas(self, tuple(q * (acc // cp) for (q, _), cp in zip(pairs, cum)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CharacteristicData is immutable")
@@ -284,11 +277,7 @@ class CharacteristicData:
 
     def cumulative_p(self) -> tuple[int, ...]:
         """(p_1, p_1p_2, ..., p_1..p_k)."""
-        cum = self._cum
-        if cum is None:
-            cum = cumulative_products(self.pairs)
-            _set_cum(self, cum)
-        return cum
+        return self._cum
 
     def char_exponents(self) -> tuple[Fraction, ...]:
         """q_k / (p_1..p_k) for each pair."""
@@ -299,12 +288,7 @@ class CharacteristicData:
     def betas(self) -> tuple[int, ...]:
         """The scaled characteristic exponents beta_k = q_k * p / (p_1..p_k),
         i.e. the polydromy times char_exponents()."""
-        betas = self._betas
-        if betas is None:
-            p = self.polydromy
-            betas = tuple(q * (p // cp) for (q, _), cp in zip(self.pairs, self.cumulative_p()))
-            _set_betas(self, betas)
-        return betas
+        return self._betas
 
 
 # The slots' own setters: they pass by the refusing __setattr__ at less than
@@ -339,9 +323,7 @@ def local_pair_data(local_pairs) -> CharacteristicData:
         raise PreconditionError("need at least one characteristic pair")
     # q_k/c_k > q_{k-1}/c_{k-1} with c_k = p_1..p_k, cross-multiplied
     q_prev, c_prev = 0, 1
-    c = 1
-    for k, (q, p) in enumerate(data.pairs):
-        c *= p
+    for k, ((q, _), c) in enumerate(zip(data.pairs, data.cumulative_p())):
         if k and q * c_prev <= q_prev * c:
             exps = data.char_exponents()
             raise PreconditionError(
@@ -367,28 +349,21 @@ def check_tangent(data: CharacteristicData) -> None:
         )
 
 
-def cumulative_products(pairs) -> tuple[int, ...]:
-    """Running products p_1, p_1p_2, ... of the p's of pairs (q_k, p_k)."""
-    return tuple(accumulate((p for _, p in pairs), mul))
-
-
 def puiseux_pairs(phi: PuiseuxPoly) -> CharacteristicData:
-    """Extract the characteristic pairs of a nonzero series.  The walk is
-    made on the first call and kept on the (immutable) series."""
+    """The characteristic pairs of a nonzero series, walked when the series
+    was made."""
     if phi._pairs is None:
-        object.__setattr__(phi, "_pairs", _walk_pairs(phi))
+        raise PreconditionError("characteristic pairs of the zero series")
     return phi._pairs
 
 
 def _walk_pairs(phi: PuiseuxPoly) -> CharacteristicData:
-    """The characteristic pairs of phi.
+    """The characteristic pairs of a nonzero series.
 
     Walks the support in order of significance with a running lattice
     denominator D (starting at 1); an exponent e = a/b in lowest terms
     outside (1/D)Z contributes the pair (e*D', D'/D) with D' = lcm(D, b).
     """
-    if phi.is_zero():
-        raise PreconditionError("characteristic pairs of the zero series")
     den = phi._den
     d = 1
     pairs = []
@@ -411,20 +386,10 @@ def _walk_pairs(phi: PuiseuxPoly) -> CharacteristicData:
 
 
 def local_to_degreewise(phi: PuiseuxPoly) -> PuiseuxPoly:
-    """c*u^e  ->  c*x^(1-e).
-
-    When the pairs of phi have been walked, the result gets its pairs from
-    them: e and 1 - e have the same denominator and the map keeps the order
-    of significance, so each local pair (q_k, p_k) becomes the degree-wise
-    pair (p_1..p_k - q_k, p_k)."""
+    """c*u^e  ->  c*x^(1-e)."""
     if phi.orientation is not Orientation.LOCAL:
         raise PreconditionError("expected a local series")
-    psi = _flip(phi, Orientation.DEGREEWISE)
-    data = phi._pairs
-    if data is not None:
-        pairs = tuple((cp - q, p) for (q, p), cp in zip(data.pairs, data.cumulative_p()))
-        object.__setattr__(psi, "_pairs", CharacteristicData(pairs, data.polydromy))
-    return psi
+    return _flip(phi, Orientation.DEGREEWISE)
 
 
 def degreewise_to_local(psi: PuiseuxPoly) -> PuiseuxPoly:

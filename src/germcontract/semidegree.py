@@ -25,7 +25,6 @@ from .puiseux import (
     Orientation,
     PuiseuxPoly,
     check_r,
-    cumulative_products,
     parse_terms,
     puiseux_pairs,
 )
@@ -33,6 +32,7 @@ from .puiseux import (
 
 XY = ("x", "y")  # variables of key forms and witness curves
 XI = ("x", "xi")  # variables of a substituted generic series
+NO_PAIRS = CharacteristicData((), 1)  # the pairs of the zero series
 
 
 def parse_poly(text: str, xname: str = "x", yname: str = "y") -> Poly:
@@ -81,17 +81,10 @@ class GenericDPS:
             raise PreconditionError(
                 f"r_delta = {Fraction(num, den)} must lie strictly below every exponent of phi"
             )
-        if phi.is_zero():
-            base = CharacteristicData((), 1)
-        else:
-            base = puiseux_pairs(phi)
+        base = NO_PAIRS if phi.is_zero() else puiseux_pairs(phi)
         # r_delta * polydromy in lowest terms
         g = gcd(num * base.polydromy, den)
         xi_q, xi_p = num * base.polydromy // g, den // g
-        if gcd(xi_q, xi_p) != 1 and xi_q != 0:
-            raise InvariantViolationError(
-                "generic pair is not coprime", r_delta=Fraction(num, den), pair=(xi_q, xi_p)
-            )
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "_r_num", num)
         object.__setattr__(self, "_r_den", den)
@@ -117,13 +110,11 @@ class GenericDPS:
 
     def cumulative_p(self) -> tuple[int, ...]:
         """(p_1, p_1p_2, ..., p_1..p_{l+1})."""
-        return cumulative_products(self.formal_pairs)
+        return self.phi_pairs.cumulative_p() + (self.delta_x,)
 
     def formal_exponents(self) -> tuple[Fraction, ...]:
         """q_k/(p_1..p_k) for every formal pair; the last one is r_delta."""
-        return tuple(
-            Fraction(q, cp) for (q, _), cp in zip(self.formal_pairs, self.cumulative_p())
-        )
+        return self.phi_pairs.char_exponents() + (self.r_delta,)
 
     def xiseries(self) -> Poly:
         """phi + xi*x^r_delta keyed (delta_x * x-exponent, xi-degree).
@@ -180,9 +171,7 @@ def generic_dps_from_curve(psi: PuiseuxPoly, r: int) -> GenericDPS:
         )
     # the last characteristic exponent is q/p over the polydromy p
     cut, p = data.pairs[-1][0] - r, data.polydromy
-    # the terms above the cut carry every pair for r >= 1, all but the last for r = 0
-    kept = CharacteristicData.from_pairs(data.pairs if r else data.pairs[:-1])
-    return GenericDPS._at(psi._above(cut, p, kept), cut, p)
+    return GenericDPS._at(psi._above(cut, p), cut, p)
 
 
 def substitute(f: Poly, g: GenericDPS) -> Poly:

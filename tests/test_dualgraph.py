@@ -451,6 +451,7 @@ def test_graph_entry_refuses_a_malformed_graph():
         (_graph([-2, -2], [(0, 1, 1)]), "edge (0, 1, 1) is not a pair i < j of vertex indices"),
         (_graph([-2, -2], [[0, 1]]), "edge [0, 1] is not a pair i < j of vertex indices"),
         (_graph([-2, -2], [(0, 1.0)]), "edge (0, 1.0) is not a pair i < j of vertex indices"),
+        (_graph([-2, -2], [(0, 1), (0, 1)]), "edge (0, 1) is listed twice"),
     ):
         with pytest.raises(PreconditionError, match=re.escape(message)):
             g.is_negative_definite()

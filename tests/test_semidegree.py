@@ -20,7 +20,6 @@ from germcontract import (
     semidegree_eval,
     substitute,
 )
-from germcontract.puiseux import _walk_pairs
 
 F = Fraction
 XY = ("x", "y")
@@ -181,22 +180,29 @@ def _seeded_local_series(count: int, seed: int):
         yield PuiseuxPoly(Orientation.LOCAL, terms)
 
 
-def test_known_pairs_are_passed_on_not_walked_again():
-    """The degree-wise pairs set by local_to_degreewise, and the pairs of the
-    kept part set by generic_dps_from_curve, against a fresh walk."""
+def test_walked_pairs_match_the_closed_forms():
+    """The walked pairs of a flipped series and of the part that
+    generic_dps_from_curve keeps, against their closed forms: e and 1 - e
+    share a denominator, so a local pair (q_k, p_k) flips to
+    (p_1..p_k - q_k, p_k); the cut keeps every pair for r >= 1 and all but
+    the last for r = 0."""
     seen = 0
     for curve in _seeded_local_series(400, 20261018):
-        assert local_to_degreewise(curve)._pairs is None  # nothing known yet
-        if not puiseux_pairs(curve).pairs:
+        local = puiseux_pairs(curve).pairs
+        if not local:
             continue
+        flipped, cum = [], 1
+        for q, p in local:
+            cum *= p
+            flipped.append((cum - q, p))
         psi = local_to_degreewise(curve)
-        assert psi._pairs == _walk_pairs(psi), curve
+        pairs = puiseux_pairs(psi).pairs
+        assert pairs == tuple(flipped), curve
         for r in (0, 1, 3):
             g = generic_dps_from_curve(psi, r)
-            if g.phi.is_zero():
-                assert g.phi._pairs is None and g.phi_pairs.pairs == ()
-            else:
-                assert g.phi._pairs == _walk_pairs(g.phi) == g.phi_pairs, (curve, r)
+            assert g.phi_pairs.pairs == (pairs if r else pairs[:-1]), (curve, r)
+            if not g.phi.is_zero():
+                assert puiseux_pairs(g.phi) is g.phi_pairs, (curve, r)
         seen += 1
     assert seen > 250
 
