@@ -8,13 +8,19 @@ beta_k = q_k * p / (p_1..p_k).  A blow-up at the point the branch sits on
 subtracts the smaller order from the larger (a Euclid step); when they are
 equal the branch leaves the current exceptional curve at a free point and
 ob becomes the next difference beta_(k+1) - beta_k, or infinite after the
-last pair.  Each blow-up updates the two tracked axis curves, decrements
-the self-intersection of every curve through the center and connects the
-new exceptional curve to them.  The construction stops once the branch
-meets a single exceptional curve transversally (minimal embedded
-resolution of curve plus tangent line), continues with r further blow-ups
-at the moving intersection point, removes the last exceptional curve E*
-and reports what remains.  The graph is a forest, so Grauert's criterion
+last pair.  The graph is laid down one Euclid run at a time, not one
+blow-up at a time.  While oa < ob, each of m = (ob - 1) // oa blow-ups
+moves the axis curve {a = 0} onto the new exceptional curve (likewise for
+{b = 0} while ob < oa), and an equal pair is a run of one.  A run of m
+blow-ups moving the axis M against the fixed axis F lays down the chain
+M - v1 - ... - vm - F with weights -2, ..., -2, -1, decrements M by 1 and
+F by m, and removes the edge between M and F, which is always the last
+edge the previous run laid.  The construction stops once the branch meets
+a single exceptional curve transversally (minimal embedded resolution of
+curve plus tangent line), continues with r further blow-ups at the moving
+intersection point, one more run, removes the last exceptional curve E*
+and reports what remains.  The edges are collected in a list, nearly in
+order, and sorted once.  The graph is a forest, so Grauert's criterion
 (the intersection form is negative definite) is decided by eliminating one
 leaf at a time from a stack, on integer numerator/denominator pairs, with
 no heap.  DualGraph.is_negative_definite() reads the form straight from the
@@ -29,7 +35,8 @@ one f-string per vertex and per edge: with an indent json.dumps runs its
 pure-Python encoder, which would cost more than building the graph.
 
 The test suite compares the graph against a simulation of the blow-ups on
-an exact parametrization of the germ, the definiteness test against dense
+an exact parametrization of the germ and against the same construction one
+blow-up at a time, the definiteness test against dense
 leading-principal-minor elimination and the JSON export against json.dumps
 byte for byte (tests/oracles.py).
 """
@@ -40,7 +47,7 @@ import json
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
 
@@ -70,18 +77,19 @@ class DualGraph(namedtuple("DualGraph", "vertices edges estar_attachment")):
         raise KeyError(label)
 
     def component_count(self) -> int:
-        n = len(self.vertices)
-        parent = list(range(n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        """The number of connected components, by union-find with path
+        halving: each union of two roots joins two components."""
+        parent = list(range(len(self.vertices)))
+        count = len(parent)
         for i, j in self.edges:
-            parent[find(i)] = find(j)
-        return len({find(i) for i in range(n)})
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i != j:
+                parent[i] = j
+                count -= 1
+        return count
 
     def is_negative_definite(self) -> bool:
         """Grauert's criterion: is the intersection form of the curves
@@ -98,7 +106,7 @@ class DualGraph(namedtuple("DualGraph", "vertices edges estar_attachment")):
         adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
         one = (1, 1)
         for e in self.edges:
-            pair = type(e) is tuple and tuple(map(type, e)) == (int, int)
+            pair = type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
             if not (pair and 0 <= e[0] < e[1] < n):
                 raise PreconditionError(f"edge {e!r} is not a pair i < j of vertex indices")
             i, j = e
@@ -111,7 +119,11 @@ class DualGraph(namedtuple("DualGraph", "vertices edges estar_attachment")):
 def build_dual_graph(local_pairs, r: int) -> DualGraph:
     """Resolve the germ of (pairs) tangent to a line, blow up r more times
     along the strict transform, drop the last exceptional curve and return
-    the weighted dual graph of the rest."""
+    the weighted dual graph of the rest.
+
+    One step per Euclid run of the vanishing orders (oa, ob), each laid
+    down by _lay_run; the r further blow-ups are one more run.  The edges
+    to E* are the last ones laid."""
     data = local_pair_data(local_pairs)
     check_r(r)
     check_tangent(data)
@@ -121,54 +133,44 @@ def build_dual_graph(local_pairs, r: int) -> DualGraph:
     oa, ob = data.polydromy, betas[0]  # ob is None once b vanishes on the branch
 
     weights = [1]  # vertex 0 is the line, which starts at +1 in the plane
-    edges: set[tuple[int, int]] = set()  # (i, j) with i < j
-    axis_a: int | None = 0  # the curve {a = 0} currently is
+    edges: list[tuple[int, int]] = []  # (i, j) with i < j, in the order laid
+    axis_a = 0  # the curve {a = 0} currently is
     axis_b: int | None = None  # the curve {b = 0} currently is
-
-    def blow_up() -> None:
-        nonlocal oa, ob, axis_a, axis_b
-        new = len(weights)
-        weights.append(-1)
-        if axis_a is not None and axis_b is not None:
-            edges.discard((min(axis_a, axis_b), max(axis_a, axis_b)))
-        for ax in (axis_a, axis_b):
-            if ax is not None:
-                weights[ax] -= 1
-                edges.add((ax, new))
-        if ob is None or oa < ob:
-            if ob is not None:
-                ob -= oa
-            axis_a = new
-        elif ob < oa:
-            oa -= ob
-            axis_b = new
-        else:
-            ob = next(gaps, None)
-            axis_a = new
-            axis_b = None
 
     # minimal embedded resolution: stop once the branch is transverse to a
     # single exceptional curve
     while not (axis_b is None and oa == 1):
-        blow_up()
-    for _ in range(r):
-        blow_up()
+        if oa < ob:
+            m = (ob - 1) // oa
+            ob -= m * oa
+            axis_a = _lay_run(weights, edges, m, axis_a, axis_b)
+        elif ob < oa:
+            m = (oa - 1) // ob
+            oa -= m * ob
+            axis_b = _lay_run(weights, edges, m, axis_b, axis_a)
+        else:
+            ob = next(gaps, None)
+            axis_a, axis_b = _lay_run(weights, edges, 1, axis_a, axis_b), None
+    if r:
+        _lay_run(weights, edges, r, axis_a, None)
 
-    estar = len(weights) - 1  # the last vertex, so j == estar on its edges
+    estar = len(weights) - 1  # the last vertex, laid by the last run
     del weights[estar]
-    # from lists: tuple() of a generator sizes by guess, filling CPython's tuple free lists
-    vertices = tuple(
-        [DGVertex(f"E{i}" if i else "Ltilde", w, i == 0) for i, w in enumerate(weights)]
-    )
-    edge_list = sorted(edges)
-    attach = tuple([vertices[i].label for i, j in edge_list if j == estar])
-    graph = DualGraph(vertices, tuple([e for e in edge_list if e[1] != estar]), attach)
+    # E* has at most two neighbours, and its edges are the last ones laid
+    attach = sorted([e for e in edges[-2:] if e[1] == estar])
+    del edges[-len(attach) :]
+    edges.sort()  # one break in order per run
+    n = len(weights)
+    labels = [f"E{i}" for i in range(n)]
+    labels[0] = "Ltilde"
+    flags = [True] + [False] * (n - 1)
+    # tuple.__new__ skips _make's length check; tuple() of a list, not a map, sizes exactly
+    vertices = tuple(list(map(tuple.__new__, repeat(DGVertex), zip(labels, weights, flags))))
+    graph = DualGraph(vertices, tuple(edges), tuple([labels[i] for i, _ in attach]))
 
-    for v in graph.vertices:
-        if v.weight > -1:
-            raise InvariantViolationError(
-                "dual-graph weight above -1", vertex=v, pairs=data.pairs, r=r
-            )
+    if max(weights) > -1:
+        v = next(v for v in vertices if v.weight > -1)
+        raise InvariantViolationError("dual-graph weight above -1", vertex=v, pairs=data.pairs, r=r)
     if graph.component_count() > 2:
         raise InvariantViolationError(
             "dual graph split into more than two components",
@@ -176,6 +178,33 @@ def build_dual_graph(local_pairs, r: int) -> DualGraph:
             r=r,
         )
     return graph
+
+
+def _lay_run(weights: list[int], edges: list, m: int, mover, fixed) -> int:
+    """Lay down m blow-ups, each at the point where the axis curve mover
+    meets the axis curve fixed (None for no curve), the new curve becoming
+    the mover each time, for m >= 1; return the last new curve.
+
+    The run gives the chain mover - v1 - ... - vm - fixed with weights -2,
+    ..., -2, -1, decrements mover by 1 and fixed by m, and removes the edge
+    between mover and fixed, which the previous run laid last."""
+    first = len(weights)
+    last = first + m - 1
+    if mover is not None:
+        if fixed is not None:
+            axes = edges.pop()
+            if axes != (min(mover, fixed), max(mover, fixed)):
+                raise InvariantViolationError(
+                    "the last edge laid does not join the axes", edge=axes, axes=(mover, fixed)
+                )
+        weights[mover] -= 1
+        edges.append((mover, first))
+    weights += [-2] * (m - 1) + [-1]
+    edges += zip(range(first, last), range(first + 1, last + 1))
+    if fixed is not None:
+        weights[fixed] -= m
+        edges.append((fixed, last))
+    return last
 
 
 def intersection_matrix(g: DualGraph) -> list[list[int]]:

@@ -14,6 +14,10 @@ quantity from first principles by a different route than the library:
 * ``dual_graph_oracle`` -- the weighted dual graph by simulating the blow-ups
   on an exact parametrization: the branch is followed through the charts as
   a pair of rational functions in t.
+* ``dual_graph_stepwise_oracle`` -- the same dual graph from the vanishing
+  orders alone, one blow-up at a time with a set of edges (the package lays
+  down one Euclid run at a time); cheap enough for r in the hundreds of
+  thousands and for germs past the simulation's reach.
 * ``tilde_omegas_oracle`` -- the semigroup generators w~_k as the weighted
   sum of the lower characteristic exponents, in Fractions, one sum per level.
 * ``negative_definite_oracle`` -- negative definiteness of a symmetric
@@ -514,6 +518,72 @@ def dual_graph_oracle(pairs: list[tuple[int, int]], r: int):
         sorted(tuple(sorted((index[x], index[y]))) for x, y in remaining)
     )
     return order, [weights[lab] for lab in order], edge_idx, tuple(attach)
+
+
+def dual_graph_stepwise_oracle(pairs: list[tuple[int, int]], r: int):
+    """(labels, weights, edges, estar_attachment) of the dual graph of
+    (pairs, r), in the layout of the package's DualGraph.
+
+    The same vanishing-order construction as the package, laid down one
+    blow-up at a time: each blow-up removes the edge between the two axis
+    curves from a set of edges, decrements the weight of each axis curve and
+    connects the new curve to them.  Linear in the number of blow-ups, so it
+    reaches r in the hundreds of thousands, where dual_graph_oracle's
+    rational functions do not.
+    """
+    _check_local_pairs(pairs)
+    p = 1
+    for _, pk in pairs:
+        p *= pk
+    acc = 1
+    betas = []
+    for q, pk in pairs:
+        acc *= pk
+        betas.append(q * (p // acc))
+    assert betas[0] < p  # the germ is tangent to the line
+    gaps = iter([b - a for a, b in zip(betas, betas[1:])])
+    oa, ob = p, betas[0]  # ob is None once b vanishes on the branch
+
+    weights = [1]  # vertex 0 is the line, which starts at +1 in the plane
+    edges: set[tuple[int, int]] = set()  # (i, j) with i < j
+    axis_a: int | None = 0  # the curve {a = 0} currently is
+    axis_b: int | None = None  # the curve {b = 0} currently is
+
+    def blow_up() -> None:
+        nonlocal oa, ob, axis_a, axis_b
+        new = len(weights)
+        weights.append(-1)
+        if axis_a is not None and axis_b is not None:
+            edges.discard((min(axis_a, axis_b), max(axis_a, axis_b)))
+        for ax in (axis_a, axis_b):
+            if ax is not None:
+                weights[ax] -= 1
+                edges.add((ax, new))
+        if ob is None or oa < ob:
+            if ob is not None:
+                ob -= oa
+            axis_a = new
+        elif ob < oa:
+            oa -= ob
+            axis_b = new
+        else:
+            ob = next(gaps, None)
+            axis_a = new
+            axis_b = None
+
+    # minimal embedded resolution: stop once the branch is transverse to a
+    # single exceptional curve
+    while not (axis_b is None and oa == 1):
+        blow_up()
+    for _ in range(r):
+        blow_up()
+
+    estar = len(weights) - 1  # the last vertex, so j == estar on its edges
+    del weights[estar]
+    labels = [f"E{i}" if i else "Ltilde" for i in range(len(weights))]
+    edge_list = sorted(edges)
+    attach = tuple([labels[i] for i, j in edge_list if j == estar])
+    return labels, weights, tuple([e for e in edge_list if e[1] != estar]), attach
 
 
 def tilde_omegas_oracle(pairs: list[tuple[int, int]]) -> tuple[int, ...]:

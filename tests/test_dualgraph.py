@@ -8,7 +8,12 @@ from math import gcd
 
 import pytest
 
-from oracles import dual_graph_oracle, graph_json_oracle, negative_definite_oracle
+from oracles import (
+    dual_graph_oracle,
+    dual_graph_stepwise_oracle,
+    graph_json_oracle,
+    negative_definite_oracle,
+)
 
 import germcontract.dualgraph as dualgraph
 from germcontract import (
@@ -145,6 +150,80 @@ def test_graph_matches_the_blow_up_simulation():
     for pairs, r in cases:
         labels, weights, edges, attach = dual_graph_oracle(pairs, r)
         assert shape(build_dual_graph(pairs, r)) == (labels, weights, edges, attach), (pairs, r)
+
+
+def _seeded_long_germs(count: int, seed: int):
+    """Two- to four-pair local pairs whose steps q_k - p_k*q_(k-1) go up to
+    40, each with r in (0, 1, 5, 50): far past the simulation's reach."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p1 = rng.randint(2, 12)
+        pairs = [(rng.choice([q for q in range(1, p1) if gcd(q, p1) == 1]), p1)]
+        for _ in range(rng.randint(1, 3)):
+            p_k = rng.randint(2, 5)
+            lo = pairs[-1][0] * p_k
+            pairs.append((rng.choice([q for q in range(lo + 1, lo + 41) if gcd(q, p_k) == 1]), p_k))
+        yield pairs, rng.choice((0, 1, 5, 50))
+
+
+def test_graph_matches_the_stepwise_construction():
+    """One step per Euclid run against one step per blow-up
+    (dual_graph_stepwise_oracle), on every single pair with p <= 60 and on
+    multi-pair germs with long runs."""
+    single = [
+        ([(q, p)], r)
+        for p in range(2, 61)
+        for q in range(1, p)
+        if gcd(q, p) == 1
+        for r in (0, 1, 2, 17)
+    ]
+    cases = single + list(_seeded_long_germs(4000, 20261021))
+    assert len(single) == 4404
+    assert {len(pairs) for pairs, _ in cases} == {1, 2, 3, 4}
+    for pairs, r in cases:
+        assert shape(build_dual_graph(pairs, r)) == dual_graph_stepwise_oracle(pairs, r), (pairs, r)
+
+
+def _bfs_component_count(g: DualGraph) -> int:
+    adj = [[] for _ in g.vertices]
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = [False] * len(adj)
+    count = 0
+    for s in range(len(adj)):
+        if not seen[s]:
+            count += 1
+            seen[s] = True
+            queue = [s]
+            for v in queue:
+                for u in adj[v]:
+                    if not seen[u]:
+                        seen[u] = True
+                        queue.append(u)
+    return count
+
+
+def test_component_count_matches_a_breadth_first_search():
+    rng = random.Random(20261022)
+    path = list(range(5000))
+    rng.shuffle(path)  # a path visited in random order, so the trees grow deep
+    hand_made = [
+        (_graph([], []), 0),
+        (_graph([-2] * 3, []), 3),
+        (_graph([-2] * 7, [(0, 1), (2, 3), (3, 4), (5, 6)]), 3),
+        (_graph([-2] * 4, [(0, 1), (1, 2), (0, 2)]), 2),  # a cycle and an isolated vertex
+        (_graph([-2] * 4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 1),
+        (_graph([-2] * 5000, [(i, i + 1) for i in range(4999)]), 1),
+        (_graph([-2] * 5000, sorted(tuple(sorted(e)) for e in zip(path, path[1:]))), 1),
+    ]
+    for g, count in hand_made:
+        assert g.component_count() == _bfs_component_count(g) == count, g.edges[:10]
+    for _ in range(500):
+        n = rng.randint(2, 60)
+        edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, n))}
+        g = _graph([-2] * n, sorted(edges))
+        assert g.component_count() == _bfs_component_count(g), g.edges
 
 
 def test_intersection_matrix_entries():
