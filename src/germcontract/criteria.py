@@ -144,7 +144,9 @@ def _virtual_poles(data: CharacteristicData, r: int) -> VirtualPoles:
 
 def semigroup_membership(n: int, gens) -> bool:
     """Is the int n a non-negative integer combination of gens (positive
-    ints)?  A bool, float or other type is refused, never read as an int."""
+    ints)?  A bool, float or other type is refused, never read as an int.
+    Shifts by g, 2g, 4g, ... <= n add every multiple of g up to n in
+    floor(log2(n/g)) + 1 passes per generator."""
     if type(n) is not int:
         raise PreconditionError(f"n = {n!r} must be an int")
     gens = tuple(gens)
@@ -153,14 +155,12 @@ def semigroup_membership(n: int, gens) -> bool:
             raise PreconditionError(f"generator {g!r} must be a positive int")
     if n < 0:
         return False
-    mask = (1 << (n + 1)) - 1
     reach = 1  # bit i set iff i is reachable
     for g in gens:
-        while True:
-            grown = (reach | (reach << g)) & mask
-            if grown == reach:
-                break
-            reach = grown
+        s = g
+        while s <= n:
+            reach |= reach << s
+            s <<= 1
     return bool(reach >> n & 1)
 
 

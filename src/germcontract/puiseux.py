@@ -32,8 +32,6 @@ from types import MappingProxyType
 from .errors import InvariantViolationError, PreconditionError, SeriesParseError
 from .poly import _ratio, format_terms
 
-RatLike = Fraction | int | str
-
 
 class Orientation(Enum):
     LOCAL = "u"

@@ -9,6 +9,9 @@ quantity from first principles by a different route than the library:
   a symbolic coefficient, and read off the vanishing order in ``t``.
 * ``semigroup_member_bruteforce`` -- membership in a numerical semigroup by
   exhaustive enumeration of coefficient vectors.
+* ``semigroup_member_fixpoint`` -- the same membership for large n: the
+  reachable set as a bitmask of n + 1 bits, closed under each generator one
+  shift at a time until it stops changing (the package doubles the shift).
 * ``decompose_bruteforce`` -- all representations of an integer over a weight
   vector with bounded middle coefficients (uniqueness oracle).
 * ``dual_graph_oracle`` -- the weighted dual graph by simulating the blow-ups
@@ -107,6 +110,23 @@ def semigroup_member_bruteforce(n: int, gens: list[int]) -> bool:
         sum(c * g for c, g in zip(combo, gens)) == n
         for combo in itertools.product(*ranges)
     )
+
+
+def semigroup_member_fixpoint(n: int, gens: list[int]) -> bool:
+    """Is n a non-negative integer combination of gens?  One shift by g at a
+    time, masked to n + 1 bits, until the reachable set is closed."""
+    assert all(g > 0 for g in gens)
+    if n < 0:
+        return False
+    mask = (1 << (n + 1)) - 1
+    reach = 1  # bit i set iff i is reachable
+    for g in gens:
+        while True:
+            grown = (reach | (reach << g)) & mask
+            if grown == reach:
+                break
+            reach = grown
+    return bool(reach >> n & 1)
 
 
 def decompose_bruteforce(

@@ -227,6 +227,57 @@ def test_sweep_seed_is_reproducible_and_consistent(capsys):
     assert "consistent: True" in first
 
 
+def test_sweep_json_document(capsys):
+    assert run(["sweep", "--pairs", "[(3,5)]", "--r-max", "10", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "pairs": [[3, 5]],
+        "sweep": [
+            {"r": r, "classification": semigroup_conditions([(3, 5)], r).classification.value}
+            for r in range(11)
+        ],
+    }
+    assert doc["sweep"][8]["classification"] == "Both"
+
+
+def test_sweep_only_nonalgebraic_rows_check_a_non_algebraic_curve(capsys):
+    argv = ["sweep", "--pairs", "[(3,5),(23,2)]", "--r-max", "2", "--seed", "1"]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        f"r={r}: OnlyNonAlgebraic (sampled curve algebraic: False, consistent: True)"
+        for r in (1, 2)
+    ]
+
+
+def test_classify_reads_a_single_tuple_as_one_pair(capsys):
+    assert run(["classify", "--pairs", "(3,5)", "--r", "8"]) == 0
+    single = capsys.readouterr().out
+    assert run(["classify", "--pairs", "[(3,5)]", "--r", "8"]) == 0
+    assert capsys.readouterr().out == single
+    assert single.rstrip().endswith("classification: Both")
+
+
+def test_pairs_that_are_not_a_sequence_exit_2(capsys):
+    assert run(["classify", "--pairs", "5", "--r", "8"]) == 2
+    assert capsys.readouterr().err == "error: pairs must be a list of (q, p) tuples\n"
+
+
+def test_spec_file_series_that_is_not_a_string_exits_2(tmp_path, capsys):
+    spec = tmp_path / "number.germ"
+    spec.write_text("series = 5\nr = 1\n")
+    assert run(["classify", str(spec)]) == 2
+    assert capsys.readouterr().err == "error: series must be a string\n"
+
+
+def test_analyze_text_of_a_non_contractible_germ(capsys):
+    assert run(["analyze", "--series", "u^(3/5)", "--r", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "classification: NotContractible" in out
+    assert "contractible: no" in out
+    assert out.rstrip().endswith("algebraic: n/a (not contractible)")
+
+
 PARSE_FAILS = [
     ["classify", "--series", "u^^2", "--r", "1"],
     ["classify", "--series", "u^(3/5)", "--pairs", "[(3,5)]", "--r", "1"],

@@ -6,7 +6,12 @@ from math import gcd
 
 import pytest
 
-from oracles import alpha_oracle, semigroup_member_bruteforce, tilde_omegas_oracle
+from oracles import (
+    alpha_oracle,
+    semigroup_member_bruteforce,
+    semigroup_member_fixpoint,
+    tilde_omegas_oracle,
+)
 
 from germcontract import (
     CharacteristicData,
@@ -229,6 +234,40 @@ def test_membership_against_brute_force():
             assert semigroup_membership(n, gens) == semigroup_member_bruteforce(
                 n, list(gens)
             )
+
+
+def _membership_cases(seed):
+    """About 2,000 seeded (n, gens): 1-5 generators and n up to 5,000, sets
+    with a common factor > 1, and n = 2^j * g for the smallest generator g,
+    where the last doubled shift is n itself."""
+    rng = random.Random(seed)
+    for _ in range(800):
+        gens = [rng.randint(1, 1000) for _ in range(rng.randint(1, 5))]
+        yield rng.randint(-3, 5000), gens
+    for _ in range(600):
+        d = rng.randint(2, 12)
+        gens = [d * rng.randint(1, 80) for _ in range(rng.randint(1, 5))]
+        n = rng.randint(0, 5000)
+        yield (n - n % d if rng.random() < 0.5 else n), gens
+    for _ in range(600):
+        gens = [rng.randint(1, 300) for _ in range(rng.randint(1, 5))]
+        g = min(gens)
+        j = rng.randint(0, (5000 // g).bit_length() - 1)
+        yield g << j, gens
+
+
+def test_membership_against_the_fixpoint_closure():
+    """The doubled shifts against the old closure, one shift by g at a time
+    until nothing changes (tests/oracles.py)."""
+    seen = {True: 0, False: 0}
+    powers = 0
+    for n, gens in _membership_cases(20261021):
+        got = semigroup_membership(n, gens)
+        assert got is semigroup_member_fixpoint(n, gens), (n, gens)
+        seen[got] += 1
+        powers += len(gens) == 1 and n >= min(gens) and n % min(gens) == 0
+    assert seen[True] > 400 and seen[False] > 400, seen
+    assert powers > 50, powers
 
 
 def test_membership_rejects_non_positive_generators():

@@ -654,6 +654,32 @@ def test_anchors_that_widen_the_window(series, r, width, omegas, forms):
     assert tuple(f.format() for f in keys.forms) == forms
 
 
+def test_the_engine_reruns_at_double_the_width(monkeypatch):
+    """The engine's own rerun loop: a first run that reports its window too
+    small is made again at exactly twice the width, and the rerun's forms,
+    lifts and poles are those of a run that fit at once."""
+    g = _germ(RESTART_ANCHORS[0][0], 1)
+    plain = essential_key_forms(g)
+    xs = g.xiseries()
+    first = xs.deg() - xs.ord()
+    assert first > 1
+    widths = []
+    run = keyforms._absorb
+
+    def too_small_once(g, subs, width):
+        widths.append(width)
+        if len(widths) == 1:
+            raise keyforms._WindowTooSmall
+        return run(g, subs, width)
+
+    monkeypatch.setattr(keyforms, "_absorb", too_small_once)
+    keys = essential_key_forms(g)
+    assert widths == [first, 2 * first]
+    assert keys.forms == plain.forms
+    assert keys.lifts == plain.lifts
+    assert keys.omegas == plain.omegas
+
+
 FOUR_PAIR = "u^(5/7) + u^(11/14) + u^(23/28) + u^(47/56)"
 FIVE_PAIR = FOUR_PAIR + " + u^(95/112)"
 
