@@ -12,7 +12,9 @@ value, an unknown or abbreviated flag, or a spec file that cannot be read
 or parsed; 3 for well-formed input outside what was asked (a germ of order
 >= 1 where a contraction is requested, a series without a characteristic
 pair, keyforms without a series, a singlepair polynomial that is not monic
-of degree p in v or has a negative exponent).  All verdicts come straight
+of degree p in v or has a negative exponent); 4 when a library self-check
+raises InvariantViolationError: one error line, then the error's state
+dump as one line of JSON, both on stderr.  All verdicts come straight
 from the library calls; the frontend only reads and formats.  Each
 subcommand imports the library modules it calls in its own body, so a
 process compiles only those: classify loads criteria and what it builds on
@@ -33,12 +35,13 @@ import sys
 from collections import namedtuple
 from functools import partial
 
-from .errors import PreconditionError, SeriesParseError
+from .errors import InvariantViolationError, PreconditionError, SeriesParseError
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+EXIT_INVARIANT = 4
 
 _SPEC_KEYS = ("series", "pairs", "r", "poly", "p", "q")
 
@@ -443,6 +446,10 @@ def run(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except InvariantViolationError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        print(json.dumps(exc.state, default=repr, sort_keys=True), file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 def main() -> None:

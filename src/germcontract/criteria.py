@@ -146,7 +146,9 @@ def semigroup_membership(n: int, gens) -> bool:
     """Is the int n a non-negative integer combination of gens (positive
     ints)?  A bool, float or other type is refused, never read as an int.
     Shifts by g, 2g, 4g, ... <= n add every multiple of g up to n in
-    floor(log2(n/g)) + 1 passes per generator."""
+    floor(log2(n/g)) + 1 passes per generator, and the reachable set is cut
+    back to its n + 1 low bits after each generator, so no generator
+    shifts the bits above n that the ones before it made."""
     if type(n) is not int:
         raise PreconditionError(f"n = {n!r} must be an int")
     gens = tuple(gens)
@@ -156,12 +158,18 @@ def semigroup_membership(n: int, gens) -> bool:
     if n < 0:
         return False
     reach = 1  # bit i set iff i is reachable
+    mask = None  # bits 0..n, built at the first generator <= n
     for g in gens:
+        if g > n:
+            continue
+        if mask is None:
+            mask = (2 << n) - 1
         s = g
         while s <= n:
             reach |= reach << s
             s <<= 1
-    return bool(reach >> n & 1)
+        reach &= mask
+    return bool(reach >> n)
 
 
 class Classification(Enum):
@@ -205,13 +213,16 @@ def semigroup_conditions(local_pairs, r: int) -> SemigroupReport:
 
     All S1 and all S2 hold -> every contraction is algebraic; all S1 hold
     but some S2 fails -> both kinds occur; some S1 fails -> no contraction
-    is algebraic.  Non-contractible input short-circuits.
+    is algebraic.  Non-contractible input short-circuits.  On a single
+    pair the class is compared with single_pair_closed_form, on both
+    returns, and a disagreement raises InvariantViolationError.
     """
     data = local_pair_data(local_pairs)
     check_r(r)
     vp = _virtual_poles(data, r)
     if not (is_tangent(data) and vp.alpha < vp.p**2):
-        return SemigroupReport((), (), Classification.NOT_CONTRACTIBLE, vp)
+        report = SemigroupReport((), (), Classification.NOT_CONTRACTIBLE, vp)
+        return _closed_form_checked(report, data, r)
     if vp.generic_pole <= 0:
         raise InvariantViolationError(
             "non-positive generic pole on contractible input",
@@ -244,7 +255,36 @@ def semigroup_conditions(local_pairs, r: int) -> SemigroupReport:
         )
     else:
         cls = Classification.ONLY_NONALGEBRAIC
-    return SemigroupReport(tuple(s1), tuple(s2), cls, vp)
+    report = SemigroupReport(tuple(s1), tuple(s2), cls, vp)
+    return _closed_form_checked(report, data, r)
+
+
+def _closed_form_checked(
+    report: SemigroupReport, data: CharacteristicData, r: int
+) -> SemigroupReport:
+    """report, once its class on a single pair (q, p) agrees with
+    single_pair_closed_form(q, p, r): not contractible, BOTH when a
+    non-algebraic contraction exists, ONLY_ALGEBRAIC otherwise.  Neither
+    side reads the other's result."""
+    if len(data.pairs) != 1:
+        return report
+    ((q, p),) = data.pairs
+    closed = single_pair_closed_form(q, p, r)
+    if not closed["contractible"]:
+        expected = Classification.NOT_CONTRACTIBLE
+    elif closed["nonalgebraic_exists"]:
+        expected = Classification.BOTH
+    else:
+        expected = Classification.ONLY_ALGEBRAIC
+    if report.classification is not expected:
+        raise InvariantViolationError(
+            "semigroup class differs from the single-pair closed form",
+            classification=report.classification.value,
+            closed_form_class=expected.value,
+            pair=(q, p),
+            r=r,
+        )
+    return report
 
 
 class WitnessCurve(namedtuple("WitnessCurve", "curve predicted_algebraic")):
@@ -348,7 +388,10 @@ def is_algebraic(curve: PuiseuxPoly, r: int, force_keyforms: bool = False) -> Al
 
     Non-contractible input short-circuits without computing key forms
     unless force_keyforms is set (the engine itself does not need
-    contractibility).
+    contractibility).  On contractible input the pole orders of the key
+    forms are compared with the closed-form virtual poles plus the generic
+    pole, and a disagreement raises InvariantViolationError; the forms
+    that force_keyforms computes on non-contractible input go unchecked.
     """
     keyforms, semidegree = _engine()
     if not isinstance(curve, PuiseuxPoly):
@@ -363,6 +406,15 @@ def is_algebraic(curve: PuiseuxPoly, r: int, force_keyforms: bool = False) -> Al
         keys = keyforms.essential_key_forms(g)
     if not contractible:
         return AlgebraicityReport(False, None, keys, None, None)
+    vp = _virtual_poles(data, r)
+    if keys.omegas != vp.omegas + (vp.generic_pole,):
+        raise InvariantViolationError(
+            "key-form pole orders differ from the virtual poles",
+            pole_orders=keys.omegas,
+            virtual_poles=vp.omegas,
+            generic_pole=vp.generic_pole,
+            r=r,
+        )
     last = keys.last()
     algebraic = keyforms.is_polynomial(last)
     if algebraic != all(keyforms.is_polynomial(f) for f in keys.forms):

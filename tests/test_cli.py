@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 import germcontract
-from germcontract import build_dual_graph, parse_graph_json, semigroup_conditions
+import germcontract.criteria as criteria
+from germcontract import (
+    InvariantViolationError,
+    build_dual_graph,
+    parse_graph_json,
+    semigroup_conditions,
+)
 from germcontract.cli import run
 from germcontract.cli import _report_doc
 
@@ -369,6 +375,66 @@ def test_precondition_failures_exit_3(capsys):
     # key forms need actual coefficients
     assert run(["keyforms", "--pairs", "[(3,5)]", "--r", "1"]) == 3
     assert run(["classify", "--series", "u + u^2", "--r", "1"]) == 3
+
+
+def _closed_form_mutant(q, p, r):
+    """single_pair_closed_form with 2p - q + 1 in place of 2p - q."""
+    contractible = r < p * (p - q)
+    return {
+        "contractible": contractible,
+        "nonalgebraic_exists": contractible and r > 2 * p - q + 1,
+    }
+
+
+_VIRTUAL_POLES = criteria._virtual_poles
+
+
+def _poles_off_by_one(data, r):
+    """The virtual poles with the generic pole one too high."""
+    vp = _VIRTUAL_POLES(data, r)
+    return vp._replace(generic_pole=vp.generic_pole + 1)
+
+
+@pytest.mark.parametrize(
+    "argv,name,mutant,keys",
+    [
+        (
+            ["classify", "--pairs", "[(3,5)]", "--r", "8", "--json"],
+            "single_pair_closed_form",
+            _closed_form_mutant,
+            ["classification", "closed_form_class", "pair", "r"],
+        ),
+        (
+            ["analyze", "--series", "u^(3/5) + u^(23/10)", "--r", "1", "--json"],
+            "_virtual_poles",
+            _poles_off_by_one,
+            ["generic_pole", "pole_orders", "r", "virtual_poles"],
+        ),
+    ],
+)
+def test_invariant_failures_exit_4_with_the_state_dump(
+    monkeypatch, capsys, argv, name, mutant, keys
+):
+    """A failed self-check is neither bad input nor a closed pipe: nothing on
+    stdout, one error line and the state dump as one JSON line on stderr."""
+    monkeypatch.setattr(criteria, name, mutant)
+    assert run(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    message, dump = err.splitlines()
+    assert message.startswith("error: internal invariant failed: ")
+    assert sorted(json.loads(dump)) == keys
+
+
+def test_a_state_dump_that_json_cannot_write_is_written_by_repr(monkeypatch, capsys):
+    def fails(*args):
+        raise InvariantViolationError("forced", where=object, poles=(1, 2))
+
+    monkeypatch.setattr(criteria, "semigroup_conditions", fails)
+    assert run(["classify", "--pairs", "[(3,5)]", "--r", "8"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.splitlines()[1]) == {"poles": [1, 2], "where": "<class 'object'>"}
 
 
 def test_argparse_rejects_unknown_subcommand():

@@ -1,8 +1,9 @@
 """Closed-form invariants, semigroup classification, witnesses, shortcuts."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -13,9 +14,11 @@ from oracles import (
     tilde_omegas_oracle,
 )
 
+import germcontract.criteria as criteria
 from germcontract import (
     CharacteristicData,
     Classification,
+    InvariantViolationError,
     Poly,
     Orientation,
     PreconditionError,
@@ -270,6 +273,60 @@ def test_membership_against_the_fixpoint_closure():
     assert powers > 50, powers
 
 
+def _bound_cases(seed):
+    """About 2,000 seeded (n, gens) around the cut to n + 1 bits: 1-5
+    generators up to 60 with n up to 3,000, sets with a common factor > 1,
+    n one below, at and one above 2^j * g for each generator g, and n below
+    every generator."""
+    rng = random.Random(seed)
+    for _ in range(500):
+        gens = [rng.randint(1, 60) for _ in range(rng.randint(1, 5))]
+        yield rng.randint(0, 3000), gens
+    for _ in range(300):
+        d = rng.randint(2, 12)
+        gens = [d * rng.randint(1, 60 // d) for _ in range(rng.randint(1, 5))]
+        n = rng.randint(0, 3000)
+        yield (n - n % d if rng.random() < 0.5 else n), gens
+    for _ in range(100):
+        gens = [rng.randint(1, 60) for _ in range(rng.randint(1, 5))]
+        for g in gens:
+            top = g << rng.randint(0, (3000 // g).bit_length() - 1)
+            for n in (top - 1, top, top + 1):
+                yield n, gens
+    for _ in range(200):
+        gens = [rng.randint(1, 60) for _ in range(rng.randint(1, 5))]
+        yield rng.randint(0, min(gens) - 1), gens
+
+
+def test_membership_at_the_bit_bound():
+    """The closure cut to bits 0..n after each generator against the
+    fixpoint closure, and against exhaustive search wherever that has at
+    most 3,000 coefficient vectors to try."""
+    seen = {True: 0, False: 0}
+    searched = below = 0
+    for n, gens in _bound_cases(20261021):
+        got = semigroup_membership(n, gens)
+        assert got is semigroup_member_fixpoint(n, gens), (n, gens)
+        if prod(n // g + 1 for g in gens) <= 3000:
+            assert got is semigroup_member_bruteforce(n, gens), (n, gens)
+            searched += 1
+        seen[got] += 1
+        below += n < min(gens)
+    assert seen[True] > 1000 and seen[False] > 600, seen
+    assert searched > 800 and below > 200, (searched, below)
+
+
+def test_membership_with_every_generator_above_n_allocates_nothing():
+    """No mask of n + 1 bits (125 MB here) is built when no generator fits."""
+    tracemalloc.start()
+    try:
+        assert semigroup_membership(10**9, (2 * 10**9, 3 * 10**9)) is False
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_membership_rejects_non_positive_generators():
     with pytest.raises(PreconditionError):
         semigroup_membership(5, (5, 0))
@@ -521,6 +578,31 @@ def test_pipeline_short_circuits_when_not_contractible():
     assert forced.algebraic is None
 
 
+_VIRTUAL_POLES = criteria._virtual_poles
+
+
+def _poles_off_by_one(data, r):
+    """The virtual poles with the generic pole one too high."""
+    vp = _VIRTUAL_POLES(data, r)
+    return vp._replace(generic_pole=vp.generic_pole + 1)
+
+
+@pytest.mark.parametrize("series,r", [("u^(3/5) + u^2", 8), ("u^(3/5) + u^(23/10)", 1)])
+def test_pipeline_checks_the_pole_orders_against_the_virtual_poles(monkeypatch, series, r):
+    monkeypatch.setattr(criteria, "_virtual_poles", _poles_off_by_one)
+    with pytest.raises(InvariantViolationError) as info:
+        is_algebraic(parse_puiseux(series), r)
+    assert set(info.value.state) == {"pole_orders", "virtual_poles", "generic_pole", "r"}
+    pole_orders = info.value.state["pole_orders"]
+    assert pole_orders[-1] + 1 == info.value.state["generic_pole"]
+
+
+def test_forced_key_forms_of_non_contractible_input_go_unchecked(monkeypatch):
+    monkeypatch.setattr(criteria, "_virtual_poles", _poles_off_by_one)
+    forced = is_algebraic(parse_puiseux("u^(3/5)"), 10, force_keyforms=True)
+    assert forced.contractible is False and forced.key_forms is not None
+
+
 def test_pipeline_input_validation():
     with pytest.raises(PreconditionError):
         is_algebraic("u^(3/5)", 1)
@@ -612,6 +694,41 @@ def test_single_pair_never_only_nonalgebraic():
             for r in range(0, p * (p - q) + 1):
                 rep = semigroup_conditions([(q, p)], r)
                 assert rep.classification is not Classification.ONLY_NONALGEBRAIC
+
+
+def _closed_form_mutant(q, p, r):
+    """single_pair_closed_form with 2p - q + 1 in place of 2p - q."""
+    contractible = r < p * (p - q)
+    return {
+        "contractible": contractible,
+        "nonalgebraic_exists": contractible and r > 2 * p - q + 1,
+    }
+
+
+def _bound_mutant(q, p, r):
+    """single_pair_closed_form with r <= p(p - q) in place of r < p(p - q)."""
+    contractible = r <= p * (p - q)
+    return {
+        "contractible": contractible,
+        "nonalgebraic_exists": contractible and r > 2 * p - q,
+    }
+
+
+@pytest.mark.parametrize(
+    "mutant,r,classes",
+    [(_closed_form_mutant, 8, ("Both", "OnlyAlgebraic")),
+     (_bound_mutant, 10, ("NotContractible", "Both"))],
+)
+def test_single_pair_class_is_checked_against_the_closed_form(monkeypatch, mutant, r, classes):
+    """Both returns, the scan's and the not-contractible one, are compared."""
+    monkeypatch.setattr(criteria, "single_pair_closed_form", mutant)
+    with pytest.raises(InvariantViolationError) as info:
+        semigroup_conditions([(3, 5)], r)
+    state = info.value.state
+    assert (state["classification"], state["closed_form_class"]) == classes
+    assert state["pair"] == (3, 5) and state["r"] == r
+    # more than one pair is not compared
+    assert semigroup_conditions(TWO_PAIR, 1).classification is Classification.ONLY_NONALGEBRAIC
 
 
 def test_shortcut_coherence_small_grid():
