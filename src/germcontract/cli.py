@@ -1,23 +1,25 @@
 """Command-line frontend.
 
 Subcommands: analyze (full report), keyforms, classify, dualgraph,
-singlepair, sweep.  Inputs come from a plain key = value file
-(series = "u^(3/5) + u^2", pairs = [(3,5),(23,2)], r = 8) or the
-equivalent flags, which override the file and are spelled in full.  The
-pair and r rules are the library's (puiseux.local_pair_data and
-puiseux.check_r).  Exit codes: 0 for any computed verdict; 1 when the
-reader closes standard output before all of it is written (nothing more is
-printed); 2 for bad input: a malformed series, pairs, r, p, q or poly
-value, an unknown or abbreviated flag, or a spec file that cannot be read
-or parsed; 3 for well-formed input outside what was asked (a germ of order
->= 1 where a contraction is requested, a series without a characteristic
-pair, keyforms without a series, a singlepair polynomial that is not monic
-of degree p in v or has a negative exponent); 4 when a library self-check
+singlepair, sweep.  Inputs come from a plain key = value file (series =
+"u^(3/5) + u^2", pairs = [(3,5),(23,2)], r = 8) or the equivalent flags,
+which override the file and are spelled in full.  The pair, r and text
+rules are the library's (puiseux.local_pair_data, puiseux.check_r and
+puiseux.check_text); the frontend adds only its own: the spec-file syntax,
+exactly one of series and pairs, r required, and a lone (q, p) read as one
+pair.  Exit codes: 0 for any computed verdict; 1 when the reader closes
+standard output before all of it is written (nothing more is printed); 2
+for bad input: a malformed series, pairs, r, p, q or poly value, an
+unknown or abbreviated flag, or a spec file that cannot be read or parsed;
+3 for well-formed input outside what was asked (a germ of order >= 1 where
+a contraction is requested, a series without a characteristic pair,
+keyforms without a series, a singlepair polynomial that is not monic of
+degree p in v or has a negative exponent); 4 when a library self-check
 raises InvariantViolationError: one error line, then the error's state
-dump as one line of JSON, both on stderr.  All verdicts come straight
-from the library calls; the frontend only reads and formats.  Each
-subcommand imports the library modules it calls in its own body, so a
-process compiles only those: classify loads criteria and what it builds on
+dump as one line of JSON, both on stderr.  All verdicts come straight from
+the library calls; the frontend only reads and formats.  Each subcommand
+imports the library modules it calls in its own body, so a process
+compiles only those: classify loads criteria and what it builds on
 (puiseux, poly), dualgraph loads dualgraph, and only analyze and a seeded
 sweep reach the key-form engine.  analyze reads and checks its input
 before it imports criteria, so input that exits 2 or 3 loads only puiseux
@@ -98,29 +100,13 @@ def _read_inputs(args) -> dict:
     return raw
 
 
-def _checked(rule, value):
-    """rule(value), with the PreconditionError of a library input rule
+def _checked(rule, *args):
+    """rule(*args), with the PreconditionError of a library input rule
     reported as bad input."""
     try:
-        return rule(value)
+        return rule(*args)
     except PreconditionError as exc:
         raise _BadInput(exc) from exc
-
-
-def _parse_pairs_value(value):
-    from .puiseux import local_pair_data
-
-    if isinstance(value, str):
-        value = _literal(value, "bad pairs value")
-    if (
-        isinstance(value, tuple)
-        and len(value) == 2
-        and all(isinstance(v, int) for v in value)
-    ):
-        value = [value]
-    if not isinstance(value, (list, tuple)):
-        raise _BadInput("pairs must be a list of (q, p) tuples")
-    return _checked(local_pair_data, value)
 
 
 def resolve_spec(args, need_r: bool = True) -> CurveSpec:
@@ -138,14 +124,17 @@ def resolve_spec(args, need_r: bool = True) -> CurveSpec:
         raise _BadInput("give exactly one of series/--series or pairs/--pairs")
     series = None
     if "series" in raw:
-        if not isinstance(raw["series"], str):
-            raise _BadInput("series must be a string")
-        series = parse_puiseux(raw["series"])
+        series = _checked(parse_puiseux, raw["series"])
         if series.orientation is Orientation.DEGREEWISE:
             series = degreewise_to_local(series)
         pairs = local_pair_data(puiseux_pairs(series))
     else:
-        pairs = _parse_pairs_value(raw["pairs"])
+        value = raw["pairs"]
+        if args.pairs is not None:  # the flag's text; a spec file's value is read already
+            value = _literal(value, "bad pairs value")
+        if type(value) is tuple and len(value) == 2 and all(type(v) is int for v in value):
+            value = [value]  # the lone (q, p) shorthand
+        pairs = _checked(local_pair_data, value)
     r = raw.get("r")
     if need_r:
         if r is None:
@@ -304,15 +293,14 @@ def cmd_dualgraph(args) -> int:
 
 def cmd_singlepair(args) -> int:
     from .criteria import alpha_invariant, single_pair_closed_form, single_pair_test
-    from .puiseux import check_r, local_pair_data
+    from .puiseux import check_r, check_text, local_pair_data
     from .semidegree import parse_poly
 
     raw = _read_inputs(args)
     missing = [k for k in ("poly", "p", "q", "r") if k not in raw]
     if missing:
         raise _BadInput(f"singlepair needs {', '.join(missing)}")
-    if not isinstance(raw["poly"], str):
-        raise _BadInput("poly must be a string")
+    _checked(check_text, raw["poly"], "poly")
     ((q, p),) = _checked(local_pair_data, [(raw["q"], raw["p"])]).pairs
     r = raw["r"]
     _checked(check_r, r)

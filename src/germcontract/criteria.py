@@ -143,15 +143,17 @@ def _virtual_poles(data: CharacteristicData, r: int) -> VirtualPoles:
 
 
 def semigroup_membership(n: int, gens) -> bool:
-    """Is the int n a non-negative integer combination of gens (positive
-    ints)?  A bool, float or other type is refused, never read as an int.
+    """Is the int n a non-negative integer combination of gens (a list or
+    tuple of positive ints)?  A bool, float or other type is refused, never
+    read as an int.
     Shifts by g, 2g, 4g, ... <= n add every multiple of g up to n in
     floor(log2(n/g)) + 1 passes per generator, and the reachable set is cut
     back to its n + 1 low bits after each generator, so no generator
     shifts the bits above n that the ones before it made."""
     if type(n) is not int:
         raise PreconditionError(f"n = {n!r} must be an int")
-    gens = tuple(gens)
+    if not isinstance(gens, (list, tuple)):
+        raise PreconditionError(f"generators {gens!r} must be a list or tuple")
     for g in gens:
         if type(g) is not int or g <= 0:
             raise PreconditionError(f"generator {g!r} must be a positive int")

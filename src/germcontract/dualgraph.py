@@ -52,7 +52,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
 
 from .errors import InvariantViolationError, PreconditionError
-from .puiseux import check_r, check_tangent, local_pair_data
+from .puiseux import check_r, check_tangent, check_text, local_pair_data
 
 
 class DGVertex(namedtuple("DGVertex", "label weight is_Ltilde", defaults=(False,))):
@@ -419,9 +419,11 @@ def _json_list(items: list[str]) -> str:
 
 def parse_graph_json(text: str) -> DualGraph:
     """Inverse of export_graph(..., 'json').  Text that export_graph could
-    not have written raises PreconditionError: text that is not JSON, a key
-    missing or extra, a value of another JSON type, or an edge that is not
-    a pair i < j of vertex indices or is listed twice."""
+    not have written raises PreconditionError: a value that is not a str,
+    text that is not JSON, a key missing or extra, a value of another JSON
+    type, or an edge that is not a pair i < j of vertex indices or is
+    listed twice."""
+    check_text(text, "graph JSON")
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

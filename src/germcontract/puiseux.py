@@ -204,23 +204,21 @@ def _canonical(orientation: Orientation, num: dict, den: int, cden: int) -> Puis
     return PuiseuxPoly._make(orientation, num, den, cden)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _pair_tuples(pairs) -> tuple:
-    """pairs as a tuple of (q, p) tuples, or PreconditionError."""
-    try:
-        return tuple((q, p) for q, p in pairs)
-    except (TypeError, ValueError):
-        raise PreconditionError(f"pairs must be (q, p) tuples, not {pairs!r}") from None
+    """pairs, a list or tuple of (q, p) lists or tuples, as a tuple of
+    tuples, or PreconditionError."""
+    if isinstance(pairs, (list, tuple)):
+        out = tuple([tuple(pr) for pr in pairs if isinstance(pr, (list, tuple)) and len(pr) == 2])
+        if len(out) == len(pairs):
+            return out
+    raise PreconditionError("pairs must be a list of (q, p) tuples")
 
 
 class CharacteristicData:
     """Characteristic pairs (q_k, p_k) plus the polydromy order p = prod p_k.
 
-    Every entry is an int (a bool is not), every p_k >= 2 and
-    gcd(q_k, p_k) = 1.  The sign/monotonicity pattern of the q_k depends on
+    Every entry is exactly an int (no subclass such as bool), every p_k >= 2
+    and gcd(q_k, p_k) = 1.  The sign/monotonicity pattern of the q_k depends on
     which orientation the pairs were extracted from; the local-side
     validation lives in local_pair_data.  The running products of the p_k
     and the betas are formed by the validation and kept.
@@ -235,7 +233,7 @@ class CharacteristicData:
         cum = []
         acc = 1
         for q, p in pairs:
-            if not (_is_int(q) and _is_int(p)):
+            if type(q) is not int or type(p) is not int:
                 raise PreconditionError(f"pair ({q!r},{p!r}): entries must be integers")
             if p < 2:
                 raise PreconditionError(f"pair ({q},{p}): p must be >= 2")
@@ -271,7 +269,7 @@ class CharacteristicData:
     def from_pairs(cls, pairs) -> "CharacteristicData":
         pairs = _pair_tuples(pairs)
         # a non-integer p is left out of the product and reported by __init__
-        return cls(pairs, prod(p for _, p in pairs if _is_int(p)))
+        return cls(pairs, prod(p for _, p in pairs if type(p) is int))
 
     def cumulative_p(self) -> tuple[int, ...]:
         """(p_1, p_1p_2, ..., p_1..p_k)."""
@@ -299,9 +297,15 @@ _set_betas = CharacteristicData._betas.__set__
 
 def check_r(r) -> None:
     """Reject r, the number of extra blow-ups, unless it is a non-negative int
-    (a bool is not)."""
-    if not _is_int(r) or r < 0:
+    (a bool or other subclass of int is not)."""
+    if type(r) is not int or r < 0:
         raise PreconditionError(f"r = {r!r} must be a non-negative integer")
+
+
+def check_text(text, what: str) -> None:
+    """Reject the text argument of a reader unless it is a str."""
+    if not isinstance(text, str):
+        raise PreconditionError(f"{what} must be a string")
 
 
 def local_pair_data(local_pairs) -> CharacteristicData:
@@ -314,7 +318,7 @@ def local_pair_data(local_pairs) -> CharacteristicData:
     given = isinstance(local_pairs, CharacteristicData)
     pairs = local_pairs.pairs if given else _pair_tuples(local_pairs)
     for q, _ in pairs:
-        if _is_int(q) and q < 1:
+        if type(q) is int and q < 1:
             raise PreconditionError(f"local pair with q = {q}: q must be >= 1")
     data = local_pairs if given else CharacteristicData.from_pairs(pairs)
     if not data.pairs:
@@ -550,6 +554,7 @@ def parse_puiseux(text: str, orientation: Orientation | None = None) -> PuiseuxP
     Well-formed text is read one _SERIES_TERM match per term; any text the
     matches do not take in full, or whose terms break a rule, is read again
     by the token walk, which raises the SeriesParseError."""
+    check_text(text, "series")
     read = _match_series(text)
     terms, seen = read if read is not None else _walk_series(text)
     if seen is not None and orientation is not None and seen is not orientation:

@@ -25,6 +25,7 @@ from .puiseux import (
     Orientation,
     PuiseuxPoly,
     check_r,
+    check_text,
     parse_terms,
     puiseux_pairs,
 )
@@ -39,6 +40,7 @@ def parse_poly(text: str, xname: str = "x", yname: str = "y") -> Poly:
     """Parse a two-variable polynomial (negative powers of the first
     variable allowed) into a Poly in x, y; same term grammar as the series
     parser, repeated monomials accumulate."""
+    check_text(text, "poly")
     terms: dict[tuple[int, int], Fraction] = {}
     for coeff, powers, pos in parse_terms(text, (xname, yname)):
         a, da = powers.get(xname, (0, 1))

@@ -6,20 +6,26 @@ import os
 import re
 import subprocess
 import sys
+from enum import IntEnum
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import germcontract
 import germcontract.criteria as criteria
 from germcontract import (
     InvariantViolationError,
+    PreconditionError,
     build_dual_graph,
     parse_graph_json,
     semigroup_conditions,
 )
 from germcontract.cli import run
 from germcontract.cli import _report_doc
+from germcontract.puiseux import local_pair_data
 
 
 def test_classify_text_output(capsys):
@@ -678,3 +684,147 @@ def test_an_unknown_name_is_an_attribute_error():
     from germcontract import puiseux
 
     assert puiseux.parse_puiseux is germcontract.parse_puiseux
+
+
+# --- one home for each input rule ---------------------------------------------
+#
+# The pair, int and text rules live in the library alone; the frontend reaches
+# them through its calls and reports their messages with exit code 2.
+
+
+class _Int(IntEnum):
+    THREE = 3
+    FIVE = 5
+    EIGHT = 8
+
+
+PAIRS_RULE = r"^pairs must be a list of \(q, p\) tuples$"
+ENTRY_RULE = r"^pair \(.*\): entries must be integers$"
+R_RULE = r"^r = .* must be a non-negative integer$"
+
+# each factory makes a fresh value: an iterator is spent by its first reader
+BAD_PAIRS = [
+    (lambda: {(3, 5), (23, 2)}, PAIRS_RULE),
+    (lambda: {(3, 5): 1}, PAIRS_RULE),
+    (lambda: iter([(3, 5)]), PAIRS_RULE),
+    (lambda: [{23, 2}], PAIRS_RULE),
+    (lambda: [(_Int.THREE, 5)], ENTRY_RULE),
+    (lambda: [(3, _Int.FIVE)], ENTRY_RULE),
+]
+R_READERS = [
+    germcontract.alpha_invariant,
+    germcontract.is_contractible,
+    germcontract.virtual_poles,
+    germcontract.semigroup_conditions,
+    germcontract.witness_curves,
+    germcontract.build_dual_graph,
+]
+PAIR_READERS = [
+    local_pair_data,
+    germcontract.CharacteristicData.from_pairs,
+    *(partial(reader, r=8) for reader in R_READERS),
+]
+TEXT_READERS = [
+    (germcontract.parse_puiseux, "series"),
+    (germcontract.parse_poly, "poly"),
+    (germcontract.parse_graph_json, "graph JSON"),
+]
+
+
+def test_each_input_rule_has_one_home_and_one_message(tmp_path, capsys):
+    for make, rule in BAD_PAIRS:
+        for reader in PAIR_READERS:
+            with pytest.raises(PreconditionError, match=rule):
+                reader(make())
+    for bad_r in (_Int.EIGHT, True):
+        for reader in R_READERS:
+            with pytest.raises(PreconditionError, match=R_RULE):
+                reader([(3, 5)], bad_r)
+    # the single-pair closed form reads q, p and r on their own
+    closed_form = germcontract.single_pair_closed_form
+    for q, p, r, rule in [
+        (_Int.THREE, 5, 8, ENTRY_RULE),
+        (3, _Int.FIVE, 8, ENTRY_RULE),
+        (3, 5, _Int.EIGHT, R_RULE),
+        (3, 5, True, R_RULE),
+    ]:
+        with pytest.raises(PreconditionError, match=rule):
+            closed_form(q, p, r)
+    for text in (5, None, b"u"):
+        for reader, what in TEXT_READERS:
+            with pytest.raises(PreconditionError, match=f"^{what} must be a string$"):
+                reader(text)
+    # the frontend passes the library's message on, with exit code 2
+    spec = tmp_path / "bad.germ"
+    for command, text, message in [
+        ("classify", "pairs = {(3,5),(23,2)}\nr = 8\n", "pairs must be a list of (q, p) tuples"),
+        ("classify", "pairs = [(3,5)]\nr = True\n", "r = True must be a non-negative integer"),
+        ("classify", "series = 5\nr = 1\n", "series must be a string"),
+        ("singlepair", "poly = 5\np = 5\nq = 3\nr = 9\n", "poly must be a string"),
+    ]:
+        spec.write_text(text)
+        assert run([command, str(spec)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# any value a caller could pass: scalars of each type, and lists, tuples,
+# dicts and sets of them
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-50, 50),
+    st.floats(),
+    st.binary(max_size=6),
+    st.text(max_size=6),
+)
+_HASHABLE = st.one_of(_SCALARS, st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_HASHABLE, inner, max_size=3),
+        st.sets(_HASHABLE, max_size=4),
+    ),
+    max_leaves=10,
+)
+_NOT_TEXT = _VALUES.filter(lambda v: not isinstance(v, str))
+# lists, tuples and iterators of near-pairs and of near-generators, so that
+# the later rules are reached as well
+_SMALL = st.integers(-3, 40)
+_PAIR = st.one_of(
+    st.tuples(_SMALL, _SMALL), st.lists(_SMALL, min_size=2, max_size=2), _VALUES
+)
+
+
+def _containers(item, hashable):
+    items = st.lists(item, max_size=4)
+    return st.one_of(items, items.map(tuple), items.map(iter), st.sets(hashable), _VALUES)
+
+
+_FUZZ = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+@_FUZZ
+@given(value=_NOT_TEXT)
+def test_text_readers_refuse_every_non_string(value):
+    for reader, what in TEXT_READERS:
+        with pytest.raises(PreconditionError, match=f"^{what} must be a string$"):
+            reader(value)
+
+
+@_FUZZ
+@given(
+    pairs=_containers(_PAIR, st.tuples(_SMALL, _SMALL)),
+    n=st.integers(-5, 300),
+    gens=_containers(_SMALL, _SMALL),
+)
+def test_only_the_library_errors_escape_the_pair_and_generator_readers(pairs, n, gens):
+    try:
+        local_pair_data(pairs)
+    except PreconditionError:
+        pass
+    try:
+        germcontract.semigroup_membership(n, gens)
+    except PreconditionError:
+        pass
